@@ -9,12 +9,16 @@ degeneracy.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
+import os
 import sys
 
 import numpy as np
+import scipy
 
+from . import __version__
 from .dictionary import dict_digest, load_dict, randdict, save_dict
 from .errors import DataFormatError, DegenerateSignalError, ZeroAtomError
 from .learner import LearnConfig, dlearn, write_trace
@@ -79,12 +83,44 @@ def _resolved_config(args) -> dict:
     return cfg
 
 
+@functools.cache
+def _environment() -> dict:
+    """Package, numpy, scipy and BLAS versions, BLAS thread settings and CPU.
+
+    Timings depend on the BLAS the correlation updates run on, so every
+    run records it. The result is constant for a process.
+    """
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas_version = f"{blas.get('name')} {blas.get('version')}"
+    except (TypeError, KeyError):
+        blas_version = "unknown"
+    return {
+        "empursuit": __version__,
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": blas_version,
+        "threads": {
+            var: os.environ.get(var)
+            for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        },
+        "cpu_model": _cpu_model(),
+    }
+
+
 def _emit_run_config(primary_out: str, args) -> str:
-    """Write <out>.run.json and return the config digest."""
+    """Write <out>.run.json and return the config digest.
+
+    The digest covers the resolved parameters only, not the environment,
+    so the same parameters give the same digest on any machine.
+    """
     cfg = _resolved_config(args)
     blob = json.dumps(cfg, indent=2, sort_keys=True, default=str)
+    record = json.dumps(
+        {**cfg, "environment": _environment()}, indent=2, sort_keys=True, default=str
+    )
     with open(primary_out + ".run.json", "w") as fh:
-        fh.write(blob + "\n")
+        fh.write(record + "\n")
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 

@@ -207,7 +207,7 @@ def profile_dictionary(
     """Dictionary of m unit-norm Gaussian atoms of a fixed length, for timing.
 
     Timing comparisons want atoms long enough that the per-iteration
-    correlation refresh (whose cost scales with atom length and live-atom
+    correlation refresh (whose cost scales with atom length and atom
     count) dominates fixed bookkeeping; 128 samples is speech-scale at
     16 kHz and comfortably past that point.
     """

@@ -17,11 +17,15 @@ selections per window and stop when every atom is at quota, so the
 empirical index distribution is exactly uniform. mp/omp default to an
 iteration budget of M*Q so all four variants are equally sparse.
 
-Correlations are kept in an incrementally maintained table: after a
-residual update only offsets whose support intersects the changed region
-are recomputed, and a block-maxima index makes the argmax cheap. Atoms at
-quota are dropped from maintenance and search, which is what makes the
-equiprobable variants cheaper than their unconstrained peers.
+Correlations of every atom at every offset live in one table, built once
+per window and then updated incrementally: a step that subtracts chi times
+atom a at offset tau changes each correlation by chi times a precomputed
+cross-correlation of atom a with that atom, so only the offsets within
+reach of tau are touched, without re-reading the residual (the MPTK
+update). A block-maxima index makes the argmax cheap. Atoms at quota drop
+out of the search, which is what makes the equiprobable variants cheaper
+than their unconstrained peers. The winner's coefficient is recomputed
+from the residual, so it carries no round-off from the table.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy import linalg as _sla
+from scipy.linalg import blas as _blas
 
 from .dictionary import Dictionary, dict_digest
 from .errors import DataFormatError
@@ -153,55 +158,67 @@ class StepInfo:
     residual: np.ndarray
 
 
-def _corr_rows(residual: np.ndarray, lo: int, hi: int, W: np.ndarray) -> np.ndarray:
-    """Correlations of each row of W with residual at offsets lo..hi.
+def _corr_rows(x: np.ndarray, W: np.ndarray, out: np.ndarray) -> None:
+    """Write correlations of every row of W with x at offsets 0..len(x)-L to out.
+
+    out is offset-major: out[t, i] = <x[t : t + L], W[i]>.
 
     Computed as chunked matmuls against contiguous sliding-window copies;
-    the chunk cap keeps the window buffer small for long atoms.
+    the chunk cap keeps the window buffer at 2 MB for long atoms.
     """
     L = W.shape[1]
-    out = np.empty((W.shape[0], hi - lo + 1))
-    chunk = max(1, min(1 << 16, (1 << 22) // L))
-    for s in range(lo, hi + 1, chunk):
-        e = min(s + chunk - 1, hi)
-        base = residual[s : e + L]
-        stride = base.strides[0]
+    rows = len(x) - L + 1
+    chunk = max(1, min(1 << 16, (1 << 18) // L))
+    stride = x.strides[0]
+    for s in range(0, rows, chunk):
+        e = min(s + chunk, rows)
         seg = np.ascontiguousarray(
             np.lib.stride_tricks.as_strided(
-                base, shape=(e - s + 1, L), strides=(stride, stride)
+                x[s:], shape=(e - s, L), strides=(stride, stride)
             )
         )
-        out[:, s - lo : e - lo + 1] = (seg @ W.T).T
-    return out
+        np.matmul(seg, W.T, out=out[s:e])
 
 
-class _AtomGroup:
-    """Correlation rows for all atoms of one length, stacked for vector ops.
+def _cross_correlations(W: np.ndarray) -> np.ndarray:
+    """X[a, k, i] = sum_s W[i, s] * W[a, s + k - (Lmax - 1)], zero-padded rows.
 
-    Rows 0..live_n-1 are the still-active atoms; deactivation swaps a row
-    to the end and shrinks live_n, so refreshes always slice a contiguous
-    prefix instead of gathering scattered rows.
+    Row a of X holds, for every lag k, how a unit of atom a placed at
+    offset tau changes every atom's correlation at offset tau + k - (Lmax-1).
+    Built by rFFT; the transform length avoids circular wrap-around.
     """
-
-    def __init__(self, length: int, atoms: list[int], W: np.ndarray, block: int, n: int):
-        self.length = length
-        self.W = W
-        self.row_len = n - length + 1
-        self.R = np.empty((len(atoms), self.row_len))
-        nblocks = (self.row_len + block - 1) // block
-        self.B = np.empty((len(atoms), nblocks))
-        self.atoms = np.array(atoms)
-        self.live_n = len(atoms)
+    m, lmax = W.shape
+    nfft = 1 << (2 * lmax - 2).bit_length()
+    F = np.fft.rfft(W, nfft)
+    Fc = F.conj()
+    X = np.empty((m, 2 * lmax - 1, m))
+    for a in range(m):
+        c = np.fft.irfft(F[a] * Fc, nfft)  # c[i, d mod nfft]
+        X[a, : lmax - 1] = c[:, nfft - lmax + 1 :].T
+        X[a, lmax - 1 :] = c[:, :lmax].T
+    return X
 
 
 class CorrelationTable:
     """Sliding correlations of every atom with the residual.
 
-    rows[i][t] = <residual[t : t + L_i], waveform_i>. Atoms are grouped by
-    length so a residual change refreshes each group with one matmul. A
-    per-row block-maxima index over |c| supports cheap argmax with
+    T[t, i] = <residual[t : t + L_i], waveform_i> for t <= N - L_i, held at
+    0 past that limit so the search never picks an offset that does not
+    fit. T is offset-major, (N - Lmin + 1) x M, and rows[i] is the strided
+    view of column i cut to its valid offsets. Atoms sit zero-padded in one
+    M x Lmax matrix, so every atom length shares one matmul and one update.
+
+    refresh() applies a step incrementally: a residual change of -chi at
+    offset tau by atom a moves row t of T by -chi * X[a, t - tau + Lmax-1],
+    one contiguous daxpy per neighborhood event over the offsets the event
+    can reach. X, the atoms' cross-correlations at every lag, costs
+    M^2 * (2 Lmax - 1) * 8 bytes (8 MB at M=32, Lmax=512) and is built once
+    per table.
+
+    A per-block maxima index over |T| supports cheap argmax with
     deterministic first-occurrence tie-breaking (lowest atom index, then
-    lowest offset).
+    lowest offset). Atoms at quota leave the search through a live mask;
+    their columns are still updated.
     """
 
     def __init__(
@@ -211,98 +228,111 @@ class CorrelationTable:
         block: int = 256,
     ):
         self.residual = residual
-        self.waveforms = list(waveforms)
-        self.lengths = [len(w) for w in self.waveforms]
+        self.lengths = [len(w) for w in waveforms]
         self.n = len(residual)
         self.block = block
-        m = len(self.waveforms)
-        self.active = np.ones(m, dtype=bool)
+        m = len(waveforms)
+        if max(self.lengths) > self.n:
+            raise ValueError("atom longer than the analysis window")
+        self.lmax = max(self.lengths)
+        self.W = np.zeros((m, self.lmax))
+        for i, w in enumerate(waveforms):
+            self.W[i, : len(w)] = w
+        nrows = self.n - min(self.lengths) + 1
+        # Offsets from here on are past some atom's limit; the mask zeroes them.
+        self._tail = self.n - self.lmax + 1
+        limits = self.n - np.array(self.lengths)
+        tail_rows = np.arange(self._tail, nrows)[:, None]
+        self._tail_mask = (tail_rows <= limits[None, :]).astype(np.float64)
+        self.T = np.empty((nrows, m))
+        self.B = np.empty(((nrows + block - 1) // block, m))
+        self.live = np.ones(m, dtype=bool)
         self.best_val = np.full(m, -np.inf)
-        self.rows: list[np.ndarray] = [np.empty(0)] * m
-        self.bmax: list[np.ndarray] = [np.empty(0)] * m
-        by_len: dict[int, list[int]] = {}
-        for i, L in enumerate(self.lengths):
-            if L > self.n:
-                raise ValueError("atom longer than the analysis window")
-            by_len.setdefault(L, []).append(i)
-        self._groups: list[_AtomGroup] = []
-        self._home: dict[int, tuple[_AtomGroup, int]] = {}
-        for L, idxs in sorted(by_len.items()):
-            W = np.stack([self.waveforms[i] for i in idxs])
-            g = _AtomGroup(L, idxs, W, block, self.n)
-            g.R[:] = _corr_rows(residual, 0, self.n - L, W)
-            g.B[:] = self._block_maxima(np.abs(g.R))
-            self._groups.append(g)
-            for r, i in enumerate(idxs):
-                self._home[i] = (g, r)
-                self.rows[i] = g.R[r]
-                self.bmax[i] = g.B[r]
-            self.best_val[idxs] = g.B.max(axis=1)
+        self.rows = [self.T[: limits[i] + 1, i] for i in range(m)]
+        self.X = _cross_correlations(self.W)
+        self._tflat = self.T.reshape(-1)
+        self._xflat = self.X.reshape(-1)
+        self._recompute(0, nrows - 1)
+        self._update_maxima(0, nrows - 1)
 
-    def _block_maxima(self, absrows: np.ndarray) -> np.ndarray:
-        """Max of |c| per block of `self.block` columns, short tail included."""
+    def _recompute(self, lo: int, hi: int) -> None:
+        """Exact correlations at offsets lo..hi, zero past each atom's limit."""
+        x = self.residual[lo : hi + self.lmax]
+        short = hi + self.lmax - self.n
+        if short > 0:
+            x = np.concatenate([x, np.zeros(short)])
+        _corr_rows(x, self.W, self.T[lo : hi + 1])
+        self._zero_tail(lo, hi)
+
+    def _zero_tail(self, lo: int, hi: int) -> None:
+        """Reset entries past their atom's limit among offsets lo..hi."""
+        lo = max(lo, self._tail)
+        if hi >= lo:
+            tail = self._tail
+            self.T[lo : hi + 1] *= self._tail_mask[lo - tail : hi + 1 - tail]
+
+    def _update_maxima(self, lo: int, hi: int) -> None:
+        """Recompute the block maxima covering offsets lo..hi and best_val."""
         block = self.block
-        width = absrows.shape[1]
-        full = width // block
-        nblocks = (width + block - 1) // block
-        out = np.empty((absrows.shape[0], nblocks))
+        b0 = lo // block
+        b1 = hi // block
+        seg = np.abs(self.T[b0 * block : (b1 + 1) * block])
+        full = len(seg) // block
         if full:
-            out[:, :full] = (
-                absrows[:, : full * block]
-                .reshape(absrows.shape[0], full, block)
-                .max(axis=2)
+            self.B[b0 : b0 + full] = (
+                seg[: full * block].reshape(full, block, -1).max(axis=1)
             )
-        if nblocks > full:
-            out[:, full] = absrows[:, full * block :].max(axis=1)
-        return out
+        if b0 + full <= b1:
+            self.B[b1] = seg[full * block :].max(axis=0)
+        self.best_val = np.where(self.live, self.B.max(axis=0), -np.inf)
 
-    def refresh(self, t0: int, t1: int) -> None:
-        """Recompute correlations whose support intersects residual[t0:t1)."""
-        r = self.residual
-        block = self.block
-        for g in self._groups:
-            ln = g.live_n
-            if ln == 0:
-                continue
-            L = g.length
-            lo = max(0, t0 - L + 1)
-            hi = min(self.n - L, t1 - 1)
-            if lo > hi:
-                continue
-            g.R[:ln, lo : hi + 1] = _corr_rows(r, lo, hi, g.W[:ln])
-            b0 = lo // block
-            b1 = hi // block
-            s0 = b0 * block
-            s1 = min((b1 + 1) * block, g.row_len)
-            g.B[:ln, b0 : b1 + 1] = self._block_maxima(np.abs(g.R[:ln, s0:s1]))
-            self.best_val[g.atoms[:ln]] = g.B[:ln].max(axis=1)
+    def refresh(
+        self,
+        t0: int,
+        t1: int,
+        psi: Sequence[SparseEvent] | None = None,
+        chi: np.ndarray | None = None,
+    ) -> None:
+        """Bring correlations up to date after residual[t0:t1) changed.
+
+        With the step's neighborhood psi and increments chi, the change is
+        applied from the cross-correlation table; without them the affected
+        offsets are recomputed exactly from the residual.
+        """
+        lo = max(0, t0 - self.lmax + 1)
+        hi = min(len(self.T) - 1, t1 - 1)
+        if lo > hi:
+            return
+        if psi is None:
+            self._recompute(lo, hi)
+        else:
+            m = len(self.lengths)
+            span = 2 * self.lmax - 1
+            for ev, c in zip(psi, chi):
+                if c == 0.0:
+                    continue
+                tau = ev.offset
+                r0 = max(0, tau - self.lmax + 1)
+                r1 = min(len(self.T), tau + self.lengths[ev.atom_index])
+                k0 = r0 - tau + self.lmax - 1
+                _blas.daxpy(
+                    self._xflat,
+                    self._tflat,
+                    n=(r1 - r0) * m,
+                    a=-float(c),
+                    offx=(ev.atom_index * span + k0) * m,
+                    offy=r0 * m,
+                )
+            self._zero_tail(lo, hi)
+        self._update_maxima(lo, hi)
 
     def deactivate(self, atom_index: int) -> None:
-        """Drop an atom's row from maintenance and search (quota reached).
-
-        The row swaps places with the last live row so live rows stay a
-        contiguous prefix; the displaced atom's views are re-pointed.
-        """
-        self.active[atom_index] = False
+        """Drop an atom from the search (quota reached)."""
+        self.live[atom_index] = False
         self.best_val[atom_index] = -np.inf
-        g, row = self._home[atom_index]
-        last = g.live_n - 1
-        if row != last:
-            other = int(g.atoms[last])
-            g.R[[row, last]] = g.R[[last, row]]
-            g.B[[row, last]] = g.B[[last, row]]
-            g.W[[row, last]] = g.W[[last, row]]
-            g.atoms[[row, last]] = g.atoms[[last, row]]
-            self._home[other] = (g, row)
-            self._home[atom_index] = (g, last)
-            self.rows[other] = g.R[row]
-            self.bmax[other] = g.B[row]
-            self.rows[atom_index] = g.R[last]
-            self.bmax[atom_index] = g.B[last]
-        g.live_n = last
 
     def value(self, atom_index: int, offset: int) -> float:
-        return float(self.rows[atom_index][offset])
+        return float(self.T[offset, atom_index])
 
     def best(self, mask: np.ndarray | None = None) -> tuple[float, int, int] | None:
         """Largest |c| over admissible atoms; (value, atom, offset) or None.
@@ -316,10 +346,8 @@ class CorrelationTable:
         i = int(np.argmax(vals))
         if vals[i] == -np.inf:
             return None
-        bm = self.bmax[i]
-        b = int(np.argmax(bm))
-        row = self.rows[i]
-        seg = np.abs(row[b * self.block : (b + 1) * self.block])
+        b = int(np.argmax(self.B[:, i]))
+        seg = np.abs(self.T[b * self.block : (b + 1) * self.block, i])
         off = b * self.block + int(np.argmax(seg))
         return float(vals[i]), i, off
 
@@ -480,6 +508,8 @@ def match(
     """
     sample_rate = x.sample_rate if isinstance(x, Signal) else None
     samples = np.asarray(x.samples if isinstance(x, Signal) else x, dtype=np.float64)
+    if not np.all(np.isfinite(samples)):
+        raise ValueError("input contains non-finite samples")
     n = len(samples)
     waveforms = dictionary.waveforms
     lengths = [len(w) for w in waveforms]
@@ -528,7 +558,8 @@ def match(
         if picked is None:
             break
         i, off = picked
-        c0 = table.value(i, off)
+        # Recomputed from the residual so coefficients carry no table round-off.
+        c0 = float(np.dot(residual[off : off + lengths[i]], waveforms[i]))
         new_event = SparseEvent(i, off, 0.0)
 
         if local and starts:
@@ -546,7 +577,7 @@ def match(
             psi = [new_event]
 
         if len(psi) == 1:
-            # Unit-norm atom: the increment is the cached correlation itself.
+            # Unit-norm atom: the increment is the correlation itself.
             chi = np.array([c0])
             ridged = False
         else:
@@ -559,7 +590,7 @@ def match(
         r2_before = float(np.dot(residual, residual)) if on_step else 0.0
         t0, t1 = update_residual(residual, psi, chi, waveforms)
         if t1 > t0:
-            table.refresh(t0, t1)
+            table.refresh(t0, t1, psi, chi)
 
         if local:
             bisect.insort(starts, (off, len(code.events)))
@@ -591,8 +622,10 @@ def reconstruct(code: SparseCode, dictionary: Dictionary) -> np.ndarray:
     waveforms = dictionary.waveforms
     out = np.zeros(code.window_len)
     for ev in code.events:
-        if ev.atom_index >= len(waveforms):
-            raise ValueError(f"event references atom {ev.atom_index} beyond dictionary")
+        if not 0 <= ev.atom_index < len(waveforms):
+            raise ValueError(
+                f"event references atom {ev.atom_index} outside the dictionary"
+            )
         w = waveforms[ev.atom_index]
         if ev.offset < 0 or ev.offset + len(w) > code.window_len:
             raise ValueError(
@@ -638,9 +671,12 @@ def load_code(path, residual_path=None) -> SparseCode:
                 parts = line.split()
                 if len(parts) != 3:
                     raise DataFormatError(f"bad code record {line!r} in {path!r}")
-                events.append(
-                    SparseEvent(int(parts[0]), int(parts[1]), float(parts[2]))
-                )
+                atom_index, offset = int(parts[0]), int(parts[1])
+                if atom_index < 0 or offset < 0:
+                    raise DataFormatError(
+                        f"negative atom index or offset in {line!r} in {path!r}"
+                    )
+                events.append(SparseEvent(atom_index, offset, float(parts[2])))
     except FileNotFoundError:
         raise
     except (ValueError, OSError) as exc:

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
+import scipy
 
+import empursuit
 from empursuit.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from empursuit.dictionary import load_dict, randdict, save_dict
 from empursuit.pursuit import PursuitConfig, load_code, reconstruct
@@ -355,6 +358,26 @@ class TestRunConfigEmission:
         assert cfg["variant"] == "emp"
         assert cfg["p"] == 0.05
         assert cfg["iters"] is None
+
+    def test_records_environment_outside_the_digest(self, tmp_path, synth_cfg):
+        out = str(tmp_path / "d.json")
+        flags = [
+            "learn", "--synth", synth_cfg, "--atoms", "3", "--blocks", "1",
+            "--block-len", "500", "--out", out,
+        ]
+        assert main(flags) == EXIT_OK
+        cfg = json.loads(open(out + ".run.json").read())
+        env = cfg.pop("environment")
+        assert env["empursuit"] == empursuit.__version__
+        assert env["numpy"] == np.__version__
+        assert env["scipy"] == scipy.__version__
+        assert env["blas"] and env["cpu_model"]
+        assert set(env["threads"]) == {
+            "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
+        }
+        header, _, _ = read_table(out + ".trace.csv")
+        blob = json.dumps(cfg, indent=2, sort_keys=True, default=str)
+        assert header["config_digest"] == hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 class TestExitCodes:

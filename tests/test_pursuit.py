@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from empursuit import pursuit
 from empursuit.dictionary import Atom, Dictionary, randdict
 from empursuit.errors import DataFormatError
 from empursuit.pursuit import (
@@ -132,6 +133,33 @@ class TestReferenceEquivalence:
             )
             instances += 1
         assert instances == 25
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_event_sequences_match_reference_with_long_atoms(self, variant):
+        """Atoms up to n/2 long: many offsets are valid for some atoms only."""
+        for seed in range(6):
+            rng = np.random.default_rng((seed, 3015))
+            n = int(rng.integers(48, 97))
+            m = int(rng.integers(2, 5))
+            waveforms = unit_waveforms(rng, m, max_len=n // 2)
+            x = planted_signal(rng, waveforms, n, n_events=3)
+            x += 0.01 * rng.standard_normal(n)
+            p = 3.0 * m / n
+            cfg = PursuitConfig(variant=variant, p=p)
+            code = match(as_dictionary(waveforms), x, cfg)
+            ref_events, ref_residual = naive_match(waveforms, x, variant, p)
+            got = [(ev.atom_index, ev.offset) for ev in code.events]
+            want = [(ev["atom"], ev["offset"]) for ev in ref_events]
+            assert got == want, f"seed={seed} variant={variant}"
+            np.testing.assert_allclose(
+                [ev.coefficient for ev in code.events],
+                [ev["coeff"] for ev in ref_events],
+                rtol=1e-9,
+                atol=1e-12,
+            )
+            np.testing.assert_allclose(
+                code.residual, ref_residual, rtol=1e-9, atol=1e-12
+            )
 
 
 class TestEnergyIdentity:
@@ -262,6 +290,13 @@ class TestReconstruction:
             events=[SparseEvent(99, 0, 1.0)], residual=None, window_len=50
         )
         with pytest.raises(ValueError):
+            reconstruct(code, tiny_dict)
+
+    def test_negative_atom_index_rejected(self, tiny_dict):
+        code = SparseCode(
+            events=[SparseEvent(-1, 0, 1.0)], residual=None, window_len=50
+        )
+        with pytest.raises(ValueError, match="atom -1"):
             reconstruct(code, tiny_dict)
 
     def test_event_outside_window_rejected(self, tiny_dict):
@@ -429,6 +464,46 @@ class TestCorrelationTable:
             np.testing.assert_allclose(table.rows[i], want, rtol=1e-12, atol=1e-12)
         assert table.best(np.array([False, False, False])) is None
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_incremental_table_tracks_exact_recompute(self, variant, monkeypatch):
+        """After every step the table equals a fresh build, tail zeros included.
+
+        Lengths 6 and 30 on a 90-sample window: offsets 61..84 are valid for
+        the short atoms only, and the planted short events sit there.
+        """
+        rng = np.random.default_rng(3016)
+        waveforms = [rng.standard_normal(L) for L in (6, 30, 6, 30)]
+        waveforms = [w / np.linalg.norm(w) for w in waveforms]
+        n = 90
+        x = 0.05 * rng.standard_normal(n)
+        x[0:30] += 1.3 * waveforms[1]
+        x[70:76] += 2.0 * waveforms[0]
+        x[80:86] -= 1.7 * waveforms[2]
+        tables = []
+        build = pursuit.correlate_all
+
+        def spy(*args, **kwargs):
+            tables.append(build(*args, **kwargs))
+            return tables[-1]
+
+        monkeypatch.setattr(pursuit, "correlate_all", spy)
+        worst = 0.0
+        picked = []
+
+        def on_step(info):
+            nonlocal worst
+            exact = build(info.residual.copy(), waveforms)
+            worst = max(worst, float(np.max(np.abs(tables[0].T - exact.T))))
+            picked.append((info.atom_index, info.offset))
+
+        cfg = PursuitConfig(variant=variant, p=0.15)
+        match(as_dictionary(waveforms), x, cfg, on_step=on_step)
+        assert len(tables) == 1 and len(picked) == 12
+        assert worst <= 1e-12 * np.linalg.norm(x)
+        assert all(off + len(waveforms[i]) <= n for i, off in picked)
+        assert any(off > n - 30 for _, off in picked)
+        assert not tables[0].T[n - 30 + 1 :, [1, 3]].any()
+
     def test_tie_break_lowest_atom_then_offset(self):
         w = np.array([1.0])
         residual = np.array([0.0, 1.0, 0.0, 1.0])
@@ -466,6 +541,13 @@ class TestMatchValidation:
             (e.atom_index, e.offset, e.coefficient) for e in b.events
         ]
         np.testing.assert_array_equal(a.residual, b.residual)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_samples_rejected(self, tiny_dict, noise_signal, bad):
+        x = noise_signal.copy()
+        x[17] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            match(tiny_dict, x, PursuitConfig(variant="mp", p=0.1))
 
     def test_input_signal_not_mutated(self, tiny_dict, noise_signal):
         before = noise_signal.copy()
@@ -527,6 +609,15 @@ class TestCodeSerialization:
             "#format=empursuit-code\n#format_version=1\n#window_len=4\n1 2\n"
         )
         with pytest.raises(DataFormatError):
+            load_code(path)
+
+    @pytest.mark.parametrize("record", ["-1 2 0.5", "1 -2 0.5"])
+    def test_negative_index_or_offset_rejected(self, tmp_path, record):
+        path = tmp_path / "neg.code"
+        path.write_text(
+            f"#format=empursuit-code\n#format_version=1\n#window_len=64\n{record}\n"
+        )
+        with pytest.raises(DataFormatError, match="negative"):
             load_code(path)
 
     def test_residual_length_mismatch_rejected(self, tmp_path):
