@@ -7,7 +7,9 @@ CLI serializes as CSV with commented headers.
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 import time
 from dataclasses import dataclass
 
@@ -270,6 +272,38 @@ def profile_signal(
     )
 
 
+@functools.cache
+def _reference_problem() -> tuple[Dictionary, np.ndarray, PursuitConfig]:
+    d = profile_dictionary(2, length=16, seed=1)
+    x = profile_signal(d, 256, seed=1).samples
+    return d, x, PursuitConfig(variant="mp", p=0.05)
+
+
+def _reference_kernel() -> None:
+    """A fixed small pursuit, the yardstick for the core's current speed.
+
+    It mixes interpreter and numpy work as the profiled calls do, so a
+    slowdown of the core shows in it in the same proportion.
+    """
+    d, x, cfg = _reference_problem()
+    match(d, x, cfg)
+
+
+def _time_reference(loops: int) -> float:
+    """Thread CPU seconds per reference kernel call, over loops calls."""
+    t0 = time.thread_time()
+    for _ in range(loops):
+        _reference_kernel()
+    return (time.thread_time() - t0) / loops
+
+
+@functools.cache
+def _reference_seconds() -> float:
+    """Best reference kernel time, measured once per process."""
+    _time_reference(10)
+    return min(_time_reference(20) for _ in range(5))
+
+
 def timing_profile(
     dictionary: Dictionary,
     x: Signal | np.ndarray,
@@ -283,41 +317,65 @@ def timing_profile(
     """Steady-state core time per signal sample per pursuit iteration.
 
     For each (variant, window length): run match() on the window's worth of
-    signal, keep the minimum process CPU time over the repeats, and
-    normalize by (window length x event count x loop count). CPU time
-    rather than wall time keeps the numbers meaningful on shared machines
-    where the process gets descheduled. Small windows finish in
-    milliseconds, where clock granularity and cache-state luck dominate, so
-    each timed measurement loops the match enough times to last at least
-    min_cell_time seconds (the same autoranging timeit uses). Warmup runs
-    are discarded, and repeats are interleaved round-robin across all cells
-    so a burst of machine noise cannot poison every repeat of one cell
-    while sparing the cell it is compared against.
+    signal, take the median time of one call, and normalize by (window
+    length x event count). Each timed measurement loops the match enough
+    times to last at least min_cell_time seconds (the same autoranging
+    timeit uses). Warmup runs are discarded, and repeats are interleaved
+    round-robin across all cells so a burst of machine noise cannot poison
+    every repeat of one cell while sparing the cell it is compared against.
+
+    Times are the calling thread's CPU time: unlike wall time it ignores
+    descheduling, and unlike process CPU time it does not count BLAS
+    worker threads spin-waiting between calls, which varies with the
+    load on the other cores. On a shared host the speed of a core still
+    drifts by tens of percent over seconds, so the thread is pinned to one
+    core, every call is preceded by a fixed small reference pursuit run
+    for about as long, and the call's time is scaled by the reference's
+    best time, measured once per process, over its time right then.
+    Profiles taken in one process thus share one speed scale.
     """
     samples = np.asarray(x.samples if isinstance(x, Signal) else x, dtype=np.float64)
     if len(samples) < max(window_lengths):
         raise ValueError("profiling signal shorter than the largest window")
-    cfgs = {v: PursuitConfig(variant=v, p=p) for v in variants}
-    cells = [(v, int(n)) for v in variants for n in window_lengths]
-    best = {cell: np.inf for cell in cells}
-    events = {cell: 1 for cell in cells}
-    loops = {cell: 1 for cell in cells}
-    for i in range(max(warmup, 1)):
-        for v, n in cells:
-            t0 = time.process_time()
-            code = match(dictionary, samples[:n], cfgs[v])
-            dt = time.process_time() - t0
-            if i == 0:
-                events[(v, n)] = max(len(code.events), 1)
-                loops[(v, n)] = max(1, math.ceil(min_cell_time / max(dt, 1e-9)))
-    for _ in range(repeats):
-        for v, n in cells:
-            t0 = time.process_time()
-            for _ in range(loops[(v, n)]):
-                match(dictionary, samples[:n], cfgs[v])
-            dt = (time.process_time() - t0) / loops[(v, n)]
-            best[(v, n)] = min(best[(v, n)], dt)
-    return [(v, n, best[(v, n)] / (n * events[(v, n)])) for v, n in cells]
+    # Pin the calling thread to one core for the whole profile: the cores of
+    # a shared host drift independently, so a reference timed on one core
+    # says nothing about a call that migrated to the other.
+    pin = hasattr(os, "sched_setaffinity")
+    if pin:
+        allowed = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {min(allowed)})
+    try:
+        ref = _reference_seconds()
+        cfgs = {v: PursuitConfig(variant=v, p=p) for v in variants}
+        cells = [(v, int(n)) for v in variants for n in window_lengths]
+        scaled = {cell: [] for cell in cells}
+        events = {cell: 1 for cell in cells}
+        loops = {cell: 1 for cell in cells}
+        ref_loops = {cell: 1 for cell in cells}
+        for i in range(max(warmup, 1)):
+            for v, n in cells:
+                t0 = time.thread_time()
+                code = match(dictionary, samples[:n], cfgs[v])
+                dt = time.thread_time() - t0
+                if i == 0:
+                    events[(v, n)] = max(len(code.events), 1)
+                    loops[(v, n)] = max(1, math.ceil(min_cell_time / max(dt, 1e-9)))
+                    ref_loops[(v, n)] = max(1, round(dt / ref))
+        for _ in range(repeats):
+            for v, n in cells:
+                for _ in range(loops[(v, n)]):
+                    r = _time_reference(ref_loops[(v, n)])
+                    t0 = time.thread_time()
+                    match(dictionary, samples[:n], cfgs[v])
+                    dt = time.thread_time() - t0
+                    scaled[(v, n)].append(dt * ref / max(r, 1e-12))
+    finally:
+        if pin:
+            os.sched_setaffinity(0, allowed)
+    return [
+        (v, n, float(np.median(scaled[(v, n)])) / (n * events[(v, n)]))
+        for v, n in cells
+    ]
 
 
 def write_table(path, columns: list[str], rows, header: dict | None = None) -> None:
