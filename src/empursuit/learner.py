@@ -25,7 +25,7 @@ import numpy as np
 
 from .dictionary import Atom, Dictionary, _random_atom, extnorm, randdict, save_dict
 from .errors import ZeroAtomError
-from .pursuit import VARIANTS, PursuitConfig, SparseCode, match
+from .pursuit import VARIANTS, PursuitConfig, SparseCode, SparseEvent, match
 from .signal_io import BlockSource, next_block
 
 __all__ = [
@@ -139,15 +139,17 @@ def apply_update(
     if code.residual is None:
         raise ValueError("code carries no residual; re-encode before updating")
     var = max(float(np.var(code.residual)), RESIDUAL_VAR_FLOOR)
-    counts = np.zeros(len(dictionary.atoms), dtype=np.int64)
+    by_atom: dict[int, list[SparseEvent]] = {}
     for ev in code.events:
-        counts[ev.atom_index] += 1
+        by_atom.setdefault(ev.atom_index, []).append(ev)
     new_atoms: list[Atom] = []
     for i, atom in enumerate(dictionary.atoms):
-        if counts[i] == 0:
+        if i not in by_atom:
             new_atoms.append(atom)
             continue
-        g = atom_gradient(code, i, len(atom.waveform))
+        # A view holding only this atom's events keeps the update O(events).
+        view = SparseCode(by_atom[i], code.residual, code.window_len)
+        g = atom_gradient(view, i, len(atom.waveform))
         stepped = Atom(atom.waveform + (eta / var) * g, pad_len=atom.pad_len)
         try:
             new_atoms.append(extnorm(stepped, max_len=max_atom_len))
@@ -217,9 +219,7 @@ def dlearn(
             snr = np.inf
         else:
             snr = 10.0 * np.log10(x2 / r2)
-        counts = np.zeros(cfg.m, dtype=np.int64)
-        for ev in code.events:
-            counts[ev.atom_index] += 1
+        counts = np.bincount([ev.atom_index for ev in code.events], minlength=cfg.m)
         trace.records.append(
             BlockRecord(
                 block=step,

@@ -22,10 +22,12 @@ per window and then updated incrementally: a step that subtracts chi times
 atom a at offset tau changes each correlation by chi times a precomputed
 cross-correlation of atom a with that atom, so only the offsets within
 reach of tau are touched, without re-reading the residual (the MPTK
-update). A block-maxima index makes the argmax cheap. Atoms at quota drop
-out of the search, which is what makes the equiprobable variants cheaper
-than their unconstrained peers. The winner's coefficient is recomputed
-from the residual, so it carries no round-off from the table.
+update). An atom-major index of per-block maxima (BLOCK offsets a block)
+makes the argmax cheap; each step recomputes only the blocks it touched.
+An atom that reaches its quota is deactivated in the table, which is the
+only place the quota is enforced: select() then searches the live atoms
+alone. The winner's coefficient is recomputed from the residual, so it
+carries no round-off from the table.
 """
 
 from __future__ import annotations
@@ -72,6 +74,16 @@ _LOCAL_LSQ = frozenset(("omp", "eomp"))
 SELECTION_FLOOR_RATIO = 1e-12
 # Ridge scale for rank-deficient neighborhood Gram matrices.
 RIDGE_RATIO = 1e-10
+# Offsets per block of the correlation table's maxima index. Smaller blocks
+# make each step's block upkeep cheaper and its reduction of B to best_val
+# dearer. On emp encodes of 16384 samples with 32 atoms of 100, 64 and 128
+# took 55 ms, 32 and 256 took 59 and 61 ms.
+BLOCK = 64
+# Rows per group in the first stage of the block-maxima reduction.
+_FOLD = 8
+# Entries of the sliding-window copy _corr_rows matmuls at a time: 512 KB,
+# small enough to stay in L2.
+_WINDOW_ENTRIES = 1 << 16
 
 
 @dataclass
@@ -163,12 +175,12 @@ def _corr_rows(x: np.ndarray, W: np.ndarray, out: np.ndarray) -> None:
 
     out is offset-major: out[t, i] = <x[t : t + L], W[i]>.
 
-    Computed as chunked matmuls against contiguous sliding-window copies;
-    the chunk cap keeps the window buffer at 2 MB for long atoms.
+    Computed as chunked matmuls against contiguous sliding-window copies of
+    at most _WINDOW_ENTRIES entries each.
     """
     L = W.shape[1]
     rows = len(x) - L + 1
-    chunk = max(1, min(1 << 16, (1 << 18) // L))
+    chunk = max(1, _WINDOW_ENTRIES // L)
     stride = x.strides[0]
     for s in range(0, rows, chunk):
         e = min(s + chunk, rows)
@@ -215,22 +227,19 @@ class CorrelationTable:
     M^2 * (2 Lmax - 1) * 8 bytes (8 MB at M=32, Lmax=512) and is built once
     per table.
 
-    A per-block maxima index over |T| supports cheap argmax with
-    deterministic first-occurrence tie-breaking (lowest atom index, then
-    lowest offset). Atoms at quota leave the search through a live mask;
-    their columns are still updated.
+    B[i, b] is the largest |T| of atom i over offsets b*BLOCK..(b+1)*BLOCK-1,
+    atom-major so that best_val, each live atom's largest |T|, is one
+    contiguous reduction per atom. After each step only the blocks the step
+    touched are recomputed, by reductions whose inner loops run along rows
+    of T. best() breaks ties by first occurrence: lowest atom index, then
+    lowest offset. deactivate() drops an atom from the search (best_val
+    -inf); its column is still updated.
     """
 
-    def __init__(
-        self,
-        residual: np.ndarray,
-        waveforms: Sequence[np.ndarray],
-        block: int = 256,
-    ):
+    def __init__(self, residual: np.ndarray, waveforms: Sequence[np.ndarray]):
         self.residual = residual
         self.lengths = [len(w) for w in waveforms]
         self.n = len(residual)
-        self.block = block
         m = len(waveforms)
         if max(self.lengths) > self.n:
             raise ValueError("atom longer than the analysis window")
@@ -245,7 +254,7 @@ class CorrelationTable:
         tail_rows = np.arange(self._tail, nrows)[:, None]
         self._tail_mask = (tail_rows <= limits[None, :]).astype(np.float64)
         self.T = np.empty((nrows, m))
-        self.B = np.empty(((nrows + block - 1) // block, m))
+        self.B = np.empty((m, (nrows + BLOCK - 1) // BLOCK))
         self.live = np.ones(m, dtype=bool)
         self.best_val = np.full(m, -np.inf)
         self.rows = [self.T[: limits[i] + 1, i] for i in range(m)]
@@ -272,19 +281,26 @@ class CorrelationTable:
             self.T[lo : hi + 1] *= self._tail_mask[lo - tail : hi + 1 - tail]
 
     def _update_maxima(self, lo: int, hi: int) -> None:
-        """Recompute the block maxima covering offsets lo..hi and best_val."""
-        block = self.block
-        b0 = lo // block
-        b1 = hi // block
-        seg = np.abs(self.T[b0 * block : (b1 + 1) * block])
-        full = len(seg) // block
+        """Recompute the block maxima covering offsets lo..hi and best_val.
+
+        A full block's BLOCK rows are reduced in two stages whose inner
+        loops run along rows of T: first across its groups of _FOLD rows,
+        an elementwise max over _FOLD*M contiguous entries, then across the
+        _FOLD rows that remain.
+        """
+        b0 = lo // BLOCK
+        b1 = hi // BLOCK
+        seg = np.abs(self.T[b0 * BLOCK : (b1 + 1) * BLOCK])
+        m = seg.shape[1]
+        full = len(seg) // BLOCK
         if full:
-            self.B[b0 : b0 + full] = (
-                seg[: full * block].reshape(full, block, -1).max(axis=1)
-            )
+            folded = seg[: full * BLOCK].reshape(full, BLOCK // _FOLD, _FOLD * m)
+            folded = folded.max(axis=1).reshape(full, _FOLD, m).max(axis=1)
+            self.B[:, b0 : b0 + full] = folded.T
         if b0 + full <= b1:
-            self.B[b1] = seg[full * block :].max(axis=0)
-        self.best_val = np.where(self.live, self.B.max(axis=0), -np.inf)
+            self.B[:, b1] = seg[full * BLOCK :].max(axis=0)
+        self.B.max(axis=1, out=self.best_val)
+        np.copyto(self.best_val, -np.inf, where=~self.live)
 
     def refresh(
         self,
@@ -335,27 +351,23 @@ class CorrelationTable:
         return float(self.T[offset, atom_index])
 
     def best(self, mask: np.ndarray | None = None) -> tuple[float, int, int] | None:
-        """Largest |c| over admissible atoms; (value, atom, offset) or None.
+        """Largest |c| over live atoms; (value, atom, offset) or None.
 
-        Deactivated atoms hold -inf in best_val, so only the caller's mask
-        needs applying here.
+        An optional mask narrows the search further.
         """
         vals = self.best_val
         if mask is not None:
             vals = np.where(mask, vals, -np.inf)
-        i = int(np.argmax(vals))
+        i = int(vals.argmax())
         if vals[i] == -np.inf:
             return None
-        b = int(np.argmax(self.B[:, i]))
-        seg = np.abs(self.T[b * self.block : (b + 1) * self.block, i])
-        off = b * self.block + int(np.argmax(seg))
+        b = int(self.B[i].argmax())
+        off = b * BLOCK + int(np.abs(self.T[b * BLOCK : (b + 1) * BLOCK, i]).argmax())
         return float(vals[i]), i, off
 
 
 def correlate_all(
-    residual: np.ndarray,
-    dictionary: Dictionary | Sequence[np.ndarray],
-    block: int = 256,
+    residual: np.ndarray, dictionary: Dictionary | Sequence[np.ndarray]
 ) -> CorrelationTable:
     """Build the full correlation table of every atom at every valid offset."""
     waveforms = (
@@ -366,22 +378,16 @@ def correlate_all(
     residual = np.asarray(residual, dtype=np.float64)
     if len(residual) < max(len(w) for w in waveforms):
         raise ValueError("residual shorter than the longest atom")
-    return CorrelationTable(residual, waveforms, block=block)
+    return CorrelationTable(residual, waveforms)
 
 
-def select(
-    table: CorrelationTable,
-    quota: QuotaState | None,
-    variant: str,
-    floor: float = 0.0,
-) -> tuple[int, int] | None:
-    """Pick the admissible (atom, offset) with max |correlation|, or None.
+def select(table: CorrelationTable, floor: float = 0.0) -> tuple[int, int] | None:
+    """Pick the live (atom, offset) with max |correlation|, or None.
 
-    Equiprobable variants exclude atoms at quota; every variant gives up
-    when the best magnitude falls below the numeric floor.
+    Atoms at quota are not live: match() deactivates them in the table.
+    Gives up when the best magnitude falls below the numeric floor.
     """
-    mask = quota.admissible() if variant in _EQUIPROBABLE and quota else None
-    found = table.best(mask)
+    found = table.best()
     if found is None:
         return None
     val, i, off = found
@@ -498,7 +504,6 @@ def match(
     x: Signal | np.ndarray,
     config: PursuitConfig,
     on_step: Callable[[StepInfo], None] | None = None,
-    block: int = 256,
 ) -> SparseCode:
     """Run the configured pursuit over one window and return its sparse code.
 
@@ -545,7 +550,7 @@ def match(
 
     residual = code.residual
     floor = SELECTION_FLOOR_RATIO * norm0
-    table = correlate_all(residual, dictionary, block=block)
+    table = correlate_all(residual, dictionary)
     local = config.variant in _LOCAL_LSQ
     # Event starts kept sorted for the overlap query; values are
     # (offset, position in code.events).
@@ -554,7 +559,7 @@ def match(
 
     k = 0
     while budget is None or k < budget:
-        picked = select(table, quota, config.variant, floor)
+        picked = select(table, floor)
         if picked is None:
             break
         i, off = picked
@@ -618,7 +623,18 @@ def match(
 
 
 def reconstruct(code: SparseCode, dictionary: Dictionary) -> np.ndarray:
-    """Sum of every event's scaled, shifted atom waveform."""
+    """Sum of every event's scaled, shifted atom waveform.
+
+    A code that records the digest of the dictionary it was made with is
+    rejected when given a different dictionary.
+    """
+    if code.dict_digest is not None:
+        digest = dict_digest(dictionary)
+        if digest != code.dict_digest:
+            raise ValueError(
+                f"code was made with a different dictionary (code digest "
+                f"{code.dict_digest[:12]}, dictionary digest {digest[:12]})"
+            )
     waveforms = dictionary.waveforms
     out = np.zeros(code.window_len)
     for ev in code.events:

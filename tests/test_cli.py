@@ -227,6 +227,33 @@ class TestReconstructCommand:
         )
         assert load_wav(wav_path).sample_rate == 4000
 
+    def test_code_from_another_dictionary_rejected(self, tmp_path, synth_cfg, capsys):
+        made_with = str(tmp_path / "dict1.json")
+        other = str(tmp_path / "dict2.json")
+        save_dict(randdict(4, seed=1, sample_rate_hint=8000), made_with)
+        save_dict(randdict(4, seed=2, sample_rate_hint=8000), other)
+        code_path = self.encode(tmp_path, synth_cfg, made_with)
+        wav_path = str(tmp_path / "out.wav")
+        capsys.readouterr()
+        code = main(["reconstruct", "--dict", other, "--code", code_path, "--out", wav_path])
+        assert code == EXIT_USAGE
+        assert "different dictionary" in capsys.readouterr().err
+
+    def test_code_without_digest_is_not_checked(self, tmp_path, synth_cfg, dict_path):
+        made_with = str(tmp_path / "dict1.json")
+        save_dict(randdict(4, seed=1, sample_rate_hint=8000), made_with)
+        code_path = self.encode(tmp_path, synth_cfg, made_with)
+        with open(code_path) as fh:
+            lines = [ln for ln in fh if not ln.startswith("#dict_digest=")]
+        with open(code_path, "w") as fh:
+            fh.writelines(lines)
+        wav_path = str(tmp_path / "out.wav")
+        assert (
+            main(["reconstruct", "--dict", dict_path, "--code", code_path, "--out", wav_path])
+            == EXIT_OK
+        )
+        assert load_code(code_path).dict_digest is None
+
 
 class TestEvalCommand:
     def test_entropy_table_hits_quota_parity_and_log2_m(

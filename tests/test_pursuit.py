@@ -306,6 +306,23 @@ class TestReconstruction:
         with pytest.raises(ValueError):
             reconstruct(code, tiny_dict)
 
+    def test_code_from_another_dictionary_rejected(self, noise_signal):
+        cfg = PursuitConfig(variant="mp", p=0.1)
+        code = match(randdict(4, seed=1), noise_signal, cfg)
+        with pytest.raises(ValueError, match="different dictionary"):
+            reconstruct(code, randdict(4, seed=2))
+
+    def test_code_without_digest_is_not_checked(self, noise_signal):
+        cfg = PursuitConfig(variant="mp", p=0.1)
+        code = match(randdict(4, seed=1), noise_signal, cfg)
+        code.dict_digest = None
+        other = randdict(4, seed=2)
+        want = np.zeros(len(noise_signal))
+        for ev in code.events:
+            w = other.waveforms[ev.atom_index]
+            want[ev.offset : ev.offset + len(w)] += ev.coefficient * w
+        np.testing.assert_array_equal(reconstruct(code, other), want)
+
 
 class TestSelectionFloor:
     def test_fully_explained_signal_stops_early(self):
@@ -511,6 +528,70 @@ class TestCorrelationTable:
         val, i, off = table.best()
         assert (i, off) == (0, 1)
         assert val == pytest.approx(1.0)
+
+    def test_tie_across_blocks_goes_to_lowest_atom(self):
+        """Atom 1 peaks at 2 in block 0, atom 0 at 2 in block 2 only."""
+        late = 2 * pursuit.BLOCK + 10
+        residual = np.zeros(3 * pursuit.BLOCK)
+        residual[5:7] = [1.0, -1.0]
+        residual[late : late + 2] = [1.0, 1.0]
+        table = correlate_all(residual, [np.array([1.0, 1.0]), np.array([1.0, -1.0])])
+        assert np.argmax(table.B[1]) == 0 and np.argmax(table.B[0]) == 2
+        assert table.best() == (2.0, 0, late)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_maxima_index_matches_brute_force_every_step(self, variant, monkeypatch):
+        """B and best() agree with a brute-force search before every select.
+
+        Mixed lengths leave tail rows past the long atoms' limit, and the
+        table's row count is not a multiple of the block size, so its last
+        block is partial.
+        """
+        rng = np.random.default_rng(3017)
+        lengths = (6, 40, 13, 40, 6)
+        waveforms = [rng.standard_normal(L) for L in lengths]
+        waveforms = [w / np.linalg.norm(w) for w in waveforms]
+        m, n = len(waveforms), 3 * pursuit.BLOCK + 37 + min(lengths) - 1
+        x = planted_signal(rng, waveforms, n, 12) + 0.05 * rng.standard_normal(n)
+        cfg = PursuitConfig(variant=variant, p=0.2)
+        q = cfg.quota(n, m)
+        tables = []
+        counts = np.zeros(m, dtype=np.int64)
+        build = pursuit.correlate_all
+
+        def check():
+            table = tables[0]
+            A = np.abs(table.T)
+            size = pursuit.BLOCK
+            assert len(A) % size != 0
+            want_B = np.array(
+                [
+                    [A[s : s + size, i].max() for s in range(0, len(A), size)]
+                    for i in range(m)
+                ]
+            )
+            np.testing.assert_array_equal(table.B, want_B)
+            live = counts < q if cfg.equiprobable else np.ones(m, dtype=bool)
+            A[:, ~live] = -np.inf
+            if not live.any():
+                assert table.best() is None
+                return
+            top = A.max()
+            i, off = min((int(j), int(t)) for t, j in np.argwhere(A == top))
+            assert table.best() == (top, i, off)
+
+        def spy(*args, **kwargs):
+            tables.append(build(*args, **kwargs))
+            check()
+            return tables[-1]
+
+        def on_step(info):
+            counts[info.atom_index] += 1
+            check()
+
+        monkeypatch.setattr(pursuit, "correlate_all", spy)
+        code = match(as_dictionary(waveforms), x, cfg, on_step=on_step)
+        assert len(tables) == 1 and len(code.events) == m * q
 
     def test_atom_longer_than_window_rejected(self):
         with pytest.raises(ValueError):
