@@ -66,8 +66,8 @@ def _all_events(codes: list[SparseCode] | SparseCode):
 def _index_counts(codes: list[SparseCode] | SparseCode, m: int) -> np.ndarray:
     counts = np.zeros(m, dtype=np.int64)
     for ev in _all_events(codes):
-        if ev.atom_index >= m:
-            raise ValueError(f"event references atom {ev.atom_index} >= M={m}")
+        if not 0 <= ev.atom_index < m:
+            raise ValueError(f"event references atom {ev.atom_index} outside [0, {m})")
         counts[ev.atom_index] += 1
     return counts
 

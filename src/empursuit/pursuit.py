@@ -39,8 +39,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import linalg as _sla
 from scipy.linalg import blas as _blas
+from scipy.linalg import lapack as _lapack
 
 from .dictionary import Dictionary, dict_digest
 from .errors import DataFormatError
@@ -124,12 +124,6 @@ class QuotaState:
     @classmethod
     def fresh(cls, m: int, quota: int) -> "QuotaState":
         return cls(np.zeros(m, dtype=np.int64), quota)
-
-    def admissible(self) -> np.ndarray:
-        return self.counts < self.quota
-
-    def exhausted(self) -> bool:
-        return bool(np.all(self.counts >= self.quota))
 
 
 @dataclass
@@ -262,7 +256,8 @@ class CorrelationTable:
         self._tflat = self.T.reshape(-1)
         self._xflat = self.X.reshape(-1)
         self._recompute(0, nrows - 1)
-        self._update_maxima(0, nrows - 1)
+        self._abs = np.empty((0, m))  # grows to one step's span, not to T's size
+        self._set_maxima(0, np.abs(self.T))
 
     def _recompute(self, lo: int, hi: int) -> None:
         """Exact correlations at offsets lo..hi, zero past each atom's limit."""
@@ -281,24 +276,29 @@ class CorrelationTable:
             self.T[lo : hi + 1] *= self._tail_mask[lo - tail : hi + 1 - tail]
 
     def _update_maxima(self, lo: int, hi: int) -> None:
-        """Recompute the block maxima covering offsets lo..hi and best_val.
+        """Recompute the block maxima covering offsets lo..hi and best_val."""
+        b0 = lo // BLOCK
+        span = self.T[b0 * BLOCK : (hi // BLOCK + 1) * BLOCK]
+        if len(span) > len(self._abs):
+            self._abs = np.empty_like(span)
+        self._set_maxima(b0, np.abs(span, out=self._abs[: len(span)]))
+
+    def _set_maxima(self, b0: int, seg: np.ndarray) -> None:
+        """Set B from seg, |T| of the blocks from block b0 on, then best_val.
 
         A full block's BLOCK rows are reduced in two stages whose inner
         loops run along rows of T: first across its groups of _FOLD rows,
         an elementwise max over _FOLD*M contiguous entries, then across the
         _FOLD rows that remain.
         """
-        b0 = lo // BLOCK
-        b1 = hi // BLOCK
-        seg = np.abs(self.T[b0 * BLOCK : (b1 + 1) * BLOCK])
         m = seg.shape[1]
         full = len(seg) // BLOCK
         if full:
             folded = seg[: full * BLOCK].reshape(full, BLOCK // _FOLD, _FOLD * m)
             folded = folded.max(axis=1).reshape(full, _FOLD, m).max(axis=1)
             self.B[:, b0 : b0 + full] = folded.T
-        if b0 + full <= b1:
-            self.B[:, b1] = seg[full * BLOCK :].max(axis=0)
+        if len(seg) > full * BLOCK:
+            self.B[:, b0 + full] = seg[full * BLOCK :].max(axis=0)
         self.B.max(axis=1, out=self.best_val)
         np.copyto(self.best_val, -np.inf, where=~self.live)
 
@@ -350,14 +350,9 @@ class CorrelationTable:
     def value(self, atom_index: int, offset: int) -> float:
         return float(self.T[offset, atom_index])
 
-    def best(self, mask: np.ndarray | None = None) -> tuple[float, int, int] | None:
-        """Largest |c| over live atoms; (value, atom, offset) or None.
-
-        An optional mask narrows the search further.
-        """
+    def best(self) -> tuple[float, int, int] | None:
+        """Largest |c| over live atoms; (value, atom, offset) or None."""
         vals = self.best_val
-        if mask is not None:
-            vals = np.where(mask, vals, -np.inf)
         i = int(vals.argmax())
         if vals[i] == -np.inf:
             return None
@@ -444,8 +439,10 @@ def solve_neighborhood(
 ) -> tuple[np.ndarray, bool]:
     """Least-squares coefficient increments for the neighborhood columns.
 
-    Returns (chi, ridged). A rank-deficient Gram matrix (e.g. the same
-    atom and offset selected twice) is solved with a small ridge term and
+    Returns (chi, ridged). One LAPACK dposv call (Cholesky, lower triangle)
+    solves A A^T chi = A r over the neighborhood's shifted waveforms A. A
+    Gram matrix that is not positive definite (e.g. the same atom and
+    offset selected twice) is solved with a small ridge term instead, and
     reported via the flag.
     """
     if not psi:
@@ -461,13 +458,11 @@ def solve_neighborhood(
     A, u0, u1 = _psi_matrix(psi, waveforms)
     G = A @ A.T
     b = A @ residual[u0:u1]
-    try:
-        c = np.linalg.cholesky(G)
-        return _sla.cho_solve((c, True), b), False
-    except np.linalg.LinAlgError:
-        lam = RIDGE_RATIO * np.trace(G) / len(psi)
-        chi = np.linalg.solve(G + lam * np.eye(len(psi)), b)
-        return chi, True
+    _, chi, info = _lapack.dposv(G, b, lower=1)
+    if info == 0:
+        return chi, False
+    lam = RIDGE_RATIO * np.trace(G) / len(psi)
+    return np.linalg.solve(G + lam * np.eye(len(psi)), b), True
 
 
 def update_residual(
@@ -480,8 +475,12 @@ def update_residual(
 
     Returns the changed interval [t0, t1) so correlation caches can be
     invalidated locally. The interval is contiguous because every
-    neighborhood event overlaps the newest one.
+    neighborhood event overlaps the newest one. Each event is one BLAS
+    daxpy into the residual, which must be a writeable, C-contiguous
+    float64 array: any other array would be updated as a copy.
     """
+    if residual.dtype != np.float64 or not residual.flags.carray:
+        raise ValueError("residual must be a writeable, contiguous float64 array")
     waveforms = (
         dictionary.waveforms if isinstance(dictionary, Dictionary) else dictionary
     )
@@ -491,7 +490,7 @@ def update_residual(
         if c == 0.0:
             continue
         w = waveforms[ev.atom_index]
-        residual[ev.offset : ev.offset + len(w)] -= c * w
+        _blas.daxpy(w, residual, n=len(w), a=-float(c), offy=ev.offset)
         t0 = min(t0, ev.offset)
         t1 = max(t1, ev.offset + len(w))
     if t1 <= t0:

@@ -81,6 +81,16 @@ class TestIndexEntropy:
         with pytest.raises(ValueError):
             index_entropy(code_of([5]), m=4)
 
+    def test_negative_atom_index_rejected(self):
+        """-1 would otherwise be counted as atom M-1."""
+        code = code_of([0, 1, -1])
+        with pytest.raises(ValueError, match="atom -1"):
+            index_entropy(code, m=4)
+        with pytest.raises(ValueError, match="atom -1"):
+            event_rates(code, sample_rate=8000, m=4)
+        with pytest.raises(ValueError, match="atom -1"):
+            event_stats(code, sample_rate=8000, m=4)
+
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.integers(0, 5), min_size=1, max_size=40))
     def test_permutation_invariant(self, idxs):

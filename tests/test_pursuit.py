@@ -86,13 +86,11 @@ class TestPursuitConfig:
 
 
 class TestQuotaState:
-    def test_fresh_counts_and_admissibility(self):
+    def test_fresh_counts_and_quota(self):
         q = QuotaState.fresh(3, 2)
-        assert q.admissible().all()
-        assert not q.exhausted()
-        q.counts[:] = 2
-        assert not q.admissible().any()
-        assert q.exhausted()
+        assert q.quota == 2
+        assert q.counts.dtype == np.int64
+        np.testing.assert_array_equal(q.counts, [0, 0, 0])
 
 
 class TestReferenceEquivalence:
@@ -148,6 +146,40 @@ class TestReferenceEquivalence:
             cfg = PursuitConfig(variant=variant, p=p)
             code = match(as_dictionary(waveforms), x, cfg)
             ref_events, ref_residual = naive_match(waveforms, x, variant, p)
+            got = [(ev.atom_index, ev.offset) for ev in code.events]
+            want = [(ev["atom"], ev["offset"]) for ev in ref_events]
+            assert got == want, f"seed={seed} variant={variant}"
+            np.testing.assert_allclose(
+                [ev.coefficient for ev in code.events],
+                [ev["coeff"] for ev in ref_events],
+                rtol=1e-9,
+                atol=1e-12,
+            )
+            np.testing.assert_allclose(
+                code.residual, ref_residual, rtol=1e-9, atol=1e-12
+            )
+
+
+    @pytest.mark.parametrize("variant", ["omp", "eomp"])
+    def test_large_neighborhoods_match_reference(self, variant):
+        """Dense, overlapping atoms of 24-96 samples: solves of 10+ columns."""
+        lengths = (24, 96, 40, 72)
+        for seed in range(3):
+            rng = np.random.default_rng((seed, 3018))
+            waveforms = [rng.standard_normal(L) for L in lengths]
+            waveforms = [w / np.linalg.norm(w) for w in waveforms]
+            n = 320
+            x = planted_signal(rng, waveforms, n, n_events=30)
+            x += 0.05 * rng.standard_normal(n)
+            sizes = []
+            code = match(
+                as_dictionary(waveforms),
+                x,
+                PursuitConfig(variant=variant, p=0.15),
+                on_step=lambda info: sizes.append(len(info.neighborhood)),
+            )
+            ref_events, ref_residual = naive_match(waveforms, x, variant, 0.15)
+            assert max(sizes) >= 10, f"seed={seed}"
             got = [(ev.atom_index, ev.offset) for ev in code.events]
             want = [(ev["atom"], ev["offset"]) for ev in ref_events]
             assert got == want, f"seed={seed} variant={variant}"
@@ -425,6 +457,23 @@ class TestUpdateResidual:
         assert (t0, t1) == (0, 0)
         np.testing.assert_array_equal(residual, np.ones(10))
 
+    @pytest.mark.parametrize(
+        "residual",
+        [
+            np.ones(20)[::2],
+            np.ones(10, dtype=np.float32),
+            np.frombuffer(np.ones(10).tobytes()),
+        ],
+        ids=["strided", "float32", "read-only"],
+    )
+    def test_residual_that_cannot_be_updated_in_place_rejected(self, residual):
+        """A BLAS update of such an array would change a copy, not the array."""
+        before = residual.copy()
+        psi = [SparseEvent(0, 2, 0.0)]
+        with pytest.raises(ValueError, match="contiguous float64"):
+            update_residual(residual, psi, np.array([1.0]), [np.ones(3)])
+        np.testing.assert_array_equal(residual, before)
+
 
 class TestCorrelationTable:
     @settings(max_examples=50, deadline=None)
@@ -479,7 +528,9 @@ class TestCorrelationTable:
                 continue
             want = np.correlate(residual, waveforms[i], mode="valid")
             np.testing.assert_allclose(table.rows[i], want, rtol=1e-12, atol=1e-12)
-        assert table.best(np.array([False, False, False])) is None
+        for i in range(3):
+            table.deactivate(i)
+        assert table.best() is None
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_incremental_table_tracks_exact_recompute(self, variant, monkeypatch):
@@ -629,6 +680,27 @@ class TestMatchValidation:
         x[17] = bad
         with pytest.raises(ValueError, match="non-finite"):
             match(tiny_dict, x, PursuitConfig(variant="mp", p=0.1))
+
+    @pytest.mark.parametrize("variant", ["omp", "eomp"])
+    def test_duplicate_selection_is_ridged_and_flagged(self, variant, monkeypatch):
+        """The same (atom, offset) twice makes the Gram matrix exactly singular."""
+        d = as_dictionary([np.full(4, 0.5), np.array([0.5, -0.5, 0.5, -0.5])])
+        x = np.random.default_rng(3019).standard_normal(64)
+        picks = []
+        select = pursuit.select
+
+        def repeat_first(table, floor=0.0):
+            picks.append(picks[0] if picks else select(table, floor))
+            return picks[-1]
+
+        monkeypatch.setattr(pursuit, "select", repeat_first)
+        cfg = PursuitConfig(variant=variant, p=0.1, iteration_budget=2)
+        code = match(d, x, cfg)
+        first, second = code.events
+        assert (second.atom_index, second.offset) == (first.atom_index, first.offset)
+        assert second.flagged and not first.flagged
+        assert np.isfinite(second.coefficient)
+        np.testing.assert_allclose(reconstruct(code, d) + code.residual, x, atol=1e-12)
 
     def test_input_signal_not_mutated(self, tiny_dict, noise_signal):
         before = noise_signal.copy()
