@@ -200,18 +200,10 @@ def cmd_learn(args) -> int:
     return EXIT_OK
 
 
-def _pursuit_config(args, m: int, n: int) -> PursuitConfig:
-    budget = args.iters
-    if getattr(args, "iters_from_equiprobable", False):
-        probe = PursuitConfig(variant="emp", p=args.p)
-        budget = m * probe.quota(n, m)
-    return PursuitConfig(variant=args.variant, p=args.p, iteration_budget=budget)
-
-
 def cmd_encode(args) -> int:
     dictionary = load_dict(args.dict)
     sig = _load_input(args)
-    cfg = _pursuit_config(args, len(dictionary.atoms), len(sig))
+    cfg = PursuitConfig(variant=args.variant, p=args.p, iteration_budget=args.iters)
     _emit_run_config(args.out, args)
     code = match(dictionary, sig, cfg)
     save_code(code, args.out, residual_path=args.residual)
@@ -257,16 +249,9 @@ def cmd_eval(args) -> int:
 
     if args.analysis == "entropy":
         variants = args.variants.split(",") if args.variants else list(VARIANTS)
-        probe = PursuitConfig(variant="emp", p=args.p)
-        budget = m * probe.quota(len(sig), m)
         rows = []
         for variant in variants:
-            cfg = PursuitConfig(
-                variant=variant,
-                p=args.p,
-                iteration_budget=None if variant in ("emp", "eomp") else budget,
-            )
-            code = match(dictionary, sig, cfg)
+            code = match(dictionary, sig, PursuitConfig(variant=variant, p=args.p))
             row = [
                 variant,
                 len(code.events),
@@ -386,12 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enc.add_argument("--dict", required=True)
     p_enc.add_argument("--variant", choices=VARIANTS, default="emp")
     p_enc.add_argument("--p", type=float, default=0.05)
-    p_enc.add_argument("--iters", type=int, default=None)
-    p_enc.add_argument(
-        "--iters-from-equiprobable",
-        action="store_true",
-        help="set the MP/OMP iteration budget to M*floor(p*N/M)",
-    )
+    p_enc.add_argument("--iters", type=int, help="mp/omp default: M*floor(p*N/M)")
     p_enc.add_argument("--residual", default=None, help="raw float64 residual output")
     p_enc.add_argument("--out", required=True, help="sparse-code file to write")
     p_enc.set_defaults(func=cmd_encode)

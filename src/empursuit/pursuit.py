@@ -93,7 +93,6 @@ class PursuitConfig:
     variant: str = "emp"
     p: float = 0.05
     iteration_budget: int | None = None
-    tie_break: str = "index-offset"
 
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
@@ -102,8 +101,6 @@ class PursuitConfig:
             raise ValueError("p must be in (0, 1)")
         if self.iteration_budget is not None and self.iteration_budget < 0:
             raise ValueError("iteration_budget must be >= 0")
-        if self.tie_break != "index-offset":
-            raise ValueError("only the 'index-offset' tie-break rule is implemented")
 
     @property
     def equiprobable(self) -> bool:
@@ -223,9 +220,12 @@ class CorrelationTable:
 
     B[i, b] is the largest |T| of atom i over offsets b*BLOCK..(b+1)*BLOCK-1,
     atom-major so that best_val, each live atom's largest |T|, is one
-    contiguous reduction per atom. After each step only the blocks the step
-    touched are recomputed, by reductions whose inner loops run along rows
-    of T. best() breaks ties by first occurrence: lowest atom index, then
+    contiguous reduction per atom. The build fills T a chunk of whole blocks
+    at a time and takes each chunk's block maxima while it is still in
+    cache, through a chunk-sized |T| scratch, never a full-size copy of |T|;
+    best_val is reduced once at the end. After each step only the blocks the
+    step touched are recomputed, by reductions whose inner loops run along
+    rows of T. best() breaks ties by first occurrence: lowest atom index, then
     lowest offset. deactivate() drops an atom from the search (best_val
     -inf); its column is still updated.
     """
@@ -255,9 +255,15 @@ class CorrelationTable:
         self.X = _cross_correlations(self.W)
         self._tflat = self.T.reshape(-1)
         self._xflat = self.X.reshape(-1)
-        self._recompute(0, nrows - 1)
-        self._abs = np.empty((0, m))  # grows to one step's span, not to T's size
-        self._set_maxima(0, np.abs(self.T))
+        self._abs = np.empty((0, m))  # grows to one chunk or step, not to T's size
+        # Whole blocks whose window copy fits _WINDOW_ENTRIES, so each chunk's
+        # maxima are taken while the chunk is still in cache.
+        chunk = max(1, _WINDOW_ENTRIES // (self.lmax * BLOCK)) * BLOCK
+        for lo in range(0, nrows, chunk):
+            hi = min(lo + chunk, nrows) - 1
+            self._recompute(lo, hi)
+            self._update_maxima(lo, hi)
+        self._set_best()
 
     def _recompute(self, lo: int, hi: int) -> None:
         """Exact correlations at offsets lo..hi, zero past each atom's limit."""
@@ -276,21 +282,18 @@ class CorrelationTable:
             self.T[lo : hi + 1] *= self._tail_mask[lo - tail : hi + 1 - tail]
 
     def _update_maxima(self, lo: int, hi: int) -> None:
-        """Recompute the block maxima covering offsets lo..hi and best_val."""
+        """Recompute B over the blocks covering offsets lo..hi, not best_val.
+
+        |T| of those blocks goes into the _abs scratch. A full block's BLOCK
+        rows are reduced in two stages whose inner loops run along rows of
+        T: first across its groups of _FOLD rows, an elementwise max over
+        _FOLD*M contiguous entries, then across the _FOLD rows that remain.
+        """
         b0 = lo // BLOCK
         span = self.T[b0 * BLOCK : (hi // BLOCK + 1) * BLOCK]
         if len(span) > len(self._abs):
             self._abs = np.empty_like(span)
-        self._set_maxima(b0, np.abs(span, out=self._abs[: len(span)]))
-
-    def _set_maxima(self, b0: int, seg: np.ndarray) -> None:
-        """Set B from seg, |T| of the blocks from block b0 on, then best_val.
-
-        A full block's BLOCK rows are reduced in two stages whose inner
-        loops run along rows of T: first across its groups of _FOLD rows,
-        an elementwise max over _FOLD*M contiguous entries, then across the
-        _FOLD rows that remain.
-        """
+        seg = np.abs(span, out=self._abs[: len(span)])
         m = seg.shape[1]
         full = len(seg) // BLOCK
         if full:
@@ -299,6 +302,9 @@ class CorrelationTable:
             self.B[:, b0 : b0 + full] = folded.T
         if len(seg) > full * BLOCK:
             self.B[:, b0 + full] = seg[full * BLOCK :].max(axis=0)
+
+    def _set_best(self) -> None:
+        """Reduce B to best_val, each live atom's largest |T|."""
         self.B.max(axis=1, out=self.best_val)
         np.copyto(self.best_val, -np.inf, where=~self.live)
 
@@ -341,6 +347,7 @@ class CorrelationTable:
                 )
             self._zero_tail(lo, hi)
         self._update_maxima(lo, hi)
+        self._set_best()
 
     def deactivate(self, atom_index: int) -> None:
         """Drop an atom from the search (quota reached)."""
@@ -555,6 +562,10 @@ def match(
     # (offset, position in code.events).
     starts: list[tuple[int, int]] = []
     max_len = max(lengths)
+    # Residual energy for on_step, kept up to date from the span each step
+    # changes. It is recomputed exactly whenever it halves, so its round-off
+    # stays relative to its own size, at O(N) per halving.
+    r2 = r2_exact = float(np.dot(residual, residual)) if on_step else 0.0
 
     k = 0
     while budget is None or k < budget:
@@ -591,7 +602,12 @@ def match(
         for ev, c in zip(psi, chi):
             ev.coefficient += float(c)
 
-        r2_before = float(np.dot(residual, residual)) if on_step else 0.0
+        if on_step is not None:
+            u0 = min(ev.offset for ev in psi)
+            u1 = max(_support_end(ev, lengths) for ev in psi)
+            seg = residual[u0:u1]  # a view: holds the updated span afterwards
+            r2_before = r2
+            r2 -= float(np.dot(seg, seg))
         t0, t1 = update_residual(residual, psi, chi, waveforms)
         if t1 > t0:
             table.refresh(t0, t1, psi, chi)
@@ -605,6 +621,9 @@ def match(
         k += 1
 
         if on_step is not None:
+            r2 += float(np.dot(seg, seg))
+            if r2 < 0.5 * r2_exact:
+                r2 = r2_exact = float(np.dot(residual, residual))
             on_step(
                 StepInfo(
                     k=k,
@@ -614,7 +633,7 @@ def match(
                     chi=np.asarray(chi, dtype=np.float64),
                     neighborhood=psi,
                     r2_before=r2_before,
-                    r2_after=float(np.dot(residual, residual)),
+                    r2_after=r2,
                     residual=residual,
                 )
             )

@@ -6,6 +6,7 @@ import csv
 import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -64,7 +65,7 @@ def read_table(path):
     """Split a CSV-with-commented-header file into (header dict, rows)."""
     header = {}
     body = []
-    for line in open(path):
+    for line in Path(path).read_text().splitlines(keepends=True):
         if line.startswith("#"):
             key, _, value = line[1:].strip().partition("=")
             header[key] = value
@@ -97,7 +98,7 @@ class TestLearnCommand:
         out1, out2 = str(tmp_path / "d1.json"), str(tmp_path / "d2.json")
         assert main(flags + ["--out", out1]) == EXIT_OK
         assert main(flags + ["--out", out2]) == EXIT_OK
-        assert open(out1, "rb").read() == open(out2, "rb").read()
+        assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
     def test_writes_trace_and_run_config(self, tmp_path, synth_cfg):
         out = str(tmp_path / "d.json")
@@ -115,7 +116,7 @@ class TestLearnCommand:
         assert "config_digest" in header and "dict_digest" in header
         assert columns[0] == "block"
         assert len(rows) == 2
-        run_cfg = json.loads(open(out + ".run.json").read())
+        run_cfg = json.loads(Path(out + ".run.json").read_text())
         assert run_cfg["argv_command"] == "learn"
         assert run_cfg["atoms"] == 3
         assert run_cfg["p"] == 0.05  # default resolved and recorded
@@ -139,7 +140,7 @@ class TestEncodeCommand:
         code = load_code(out, residual_path=res_path)
         from empursuit.signal_io import build_synth_signal
 
-        sig, _ = build_synth_signal(json.loads(open(synth_cfg).read()))
+        sig, _ = build_synth_signal(json.loads(Path(synth_cfg).read_text()))
         approx = reconstruct(code, load_dict(dict_path))
         err = np.linalg.norm(sig.samples - approx - code.residual)
         assert err <= 1e-10 * np.linalg.norm(sig.samples)
@@ -152,7 +153,7 @@ class TestEncodeCommand:
             main(
                 [
                     "encode", "--synth", synth_cfg, "--dict", dict_path,
-                    "--variant", "mp", "--iters-from-equiprobable", "--out", out,
+                    "--variant", "mp", "--out", out,
                 ]
             )
             == EXIT_OK
@@ -380,7 +381,7 @@ class TestRunConfigEmission:
             main(["encode", "--synth", synth_cfg, "--dict", dict_path, "--out", out])
             == EXIT_OK
         )
-        cfg = json.loads(open(out + ".run.json").read())
+        cfg = json.loads(Path(out + ".run.json").read_text())
         assert cfg["argv_command"] == "encode"
         assert cfg["variant"] == "emp"
         assert cfg["p"] == 0.05
@@ -393,7 +394,7 @@ class TestRunConfigEmission:
             "--block-len", "500", "--out", out,
         ]
         assert main(flags) == EXIT_OK
-        cfg = json.loads(open(out + ".run.json").read())
+        cfg = json.loads(Path(out + ".run.json").read_text())
         env = cfg.pop("environment")
         assert env["empursuit"] == empursuit.__version__
         assert env["numpy"] == np.__version__

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -68,10 +70,6 @@ class TestPursuitConfig:
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError):
             PursuitConfig(iteration_budget=-1)
-
-    def test_unknown_tie_break_rejected(self):
-        with pytest.raises(ValueError):
-            PursuitConfig(tie_break="random")
 
     def test_quota_formula(self):
         assert PursuitConfig(p=0.05).quota(200_000, 32) == 312
@@ -229,6 +227,31 @@ class TestEnergyIdentity:
 
         match(d, x, PursuitConfig(variant="emp", p=0.1), on_step=on_step)
         assert errs and max(errs) <= 1e-9
+
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_tracked_energy_is_residual_energy(self, variant):
+        """r2_before/r2_after equal ||residual||^2 as it falls by orders.
+
+        A noiseless planted signal: omp/eomp explain it to round-off, through
+        neighbourhoods of several events.
+        """
+        rng = np.random.default_rng(3007)
+        waveforms = unit_waveforms(rng, 4, max_len=12)
+        x = planted_signal(rng, waveforms, 400, 20)
+        r2 = [float(np.dot(x, x))]
+        errs = []
+
+        def on_step(info):
+            exact = float(np.dot(info.residual, info.residual))
+            assert info.r2_before == r2[-1]
+            errs.append(abs(info.r2_after - exact) / exact)
+            r2.append(info.r2_after)
+
+        cfg = PursuitConfig(variant=variant, p=0.5)
+        match(as_dictionary(waveforms), x, cfg, on_step=on_step)
+        assert r2[-1] < 1e-5 * r2[0]
+        assert max(errs) <= 1e-9
 
 
 class TestLocalOrthogonality:
@@ -643,6 +666,59 @@ class TestCorrelationTable:
         monkeypatch.setattr(pursuit, "correlate_all", spy)
         code = match(as_dictionary(waveforms), x, cfg, on_step=on_step)
         assert len(tables) == 1 and len(code.events) == m * q
+
+    @pytest.mark.parametrize(
+        "lengths, n",
+        [((7, 1100, 300, 1100), 1400), ((5, 100, 37, 100), 30 * pursuit.BLOCK + 90)],
+    )
+    def test_chunked_build_matches_brute_force(self, lengths, n, monkeypatch):
+        """A build over several chunks equals direct correlation and search.
+
+        Offsets past n - 1100 (or n - 100) lie beyond the long atoms' limit,
+        and the row count is not a multiple of the block size.
+        """
+        rng = np.random.default_rng(3019)
+        waveforms = [rng.standard_normal(L) for L in lengths]
+        waveforms = [w / np.linalg.norm(w) for w in waveforms]
+        residual = rng.standard_normal(n)
+        chunks = []
+        recompute = CorrelationTable._recompute
+
+        def spy(self, lo, hi):
+            chunks.append((lo, hi))
+            recompute(self, lo, hi)
+
+        monkeypatch.setattr(CorrelationTable, "_recompute", spy)
+        table = correlate_all(residual, waveforms)
+        assert len(chunks) >= 3
+        A = np.abs(table.T)
+        assert len(A) % pursuit.BLOCK != 0
+        for i, w in enumerate(waveforms):
+            want = np.correlate(residual, w, mode="valid")
+            got = table.T[: len(want), i]
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+            assert not table.T[len(want) :, i].any()
+        size = pursuit.BLOCK
+        want_B = np.array(
+            [[col[s : s + size].max() for s in range(0, len(A), size)] for col in A.T]
+        )
+        np.testing.assert_array_equal(table.B, want_B)
+        top = A.max()
+        i, off = min((int(j), int(t)) for t, j in np.argwhere(A == top))
+        assert table.best() == (top, i, off)
+
+    def test_build_holds_no_full_size_copy(self):
+        """Beyond T and X, building a table allocates less than half of T."""
+        rng = np.random.default_rng(3020)
+        waveforms = [w / np.linalg.norm(w) for w in rng.standard_normal((32, 100))]
+        x = rng.standard_normal(16384)
+        tracemalloc.start()
+        try:
+            table = correlate_all(x, waveforms)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - table.T.nbytes - table.X.nbytes < table.T.nbytes / 2
 
     def test_atom_longer_than_window_rejected(self):
         with pytest.raises(ValueError):
