@@ -45,7 +45,6 @@ from .metrics import (
 from .pursuit import (
     VARIANTS,
     PursuitConfig,
-    QuotaState,
     SparseCode,
     SparseEvent,
     correlate_all,
@@ -80,7 +79,6 @@ __all__ = [
     "LearnConfig",
     "LearnTrace",
     "PursuitConfig",
-    "QuotaState",
     "Signal",
     "SparseCode",
     "SparseEvent",

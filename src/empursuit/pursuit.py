@@ -22,12 +22,13 @@ per window and then updated incrementally: a step that subtracts chi times
 atom a at offset tau changes each correlation by chi times a precomputed
 cross-correlation of atom a with that atom, so only the offsets within
 reach of tau are touched, without re-reading the residual (the MPTK
-update). An atom-major index of per-block maxima (BLOCK offsets a block)
-makes the argmax cheap; each step recomputes only the blocks it touched.
-An atom that reaches its quota is deactivated in the table, which is the
-only place the quota is enforced: select() then searches the live atoms
-alone. The winner's coefficient is recomputed from the residual, so it
-carries no round-off from the table.
+update). A flat index makes the argmax cheap: per block of BLOCK offsets,
+the largest |correlation| over all atoms and its position; each step
+recomputes only the blocks it touched. An atom that reaches its quota is
+deactivated in the table, which is the only place the quota is enforced:
+it leaves the index lazily, block by block, so select() searches the live
+atoms alone without a pass over the table. The winner's coefficient is
+recomputed from the residual, so it carries no round-off from the table.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ from .signal_io import Signal
 __all__ = [
     "VARIANTS",
     "PursuitConfig",
-    "QuotaState",
     "SparseEvent",
     "SparseCode",
     "StepInfo",
@@ -74,13 +74,10 @@ _LOCAL_LSQ = frozenset(("omp", "eomp"))
 SELECTION_FLOOR_RATIO = 1e-12
 # Ridge scale for rank-deficient neighborhood Gram matrices.
 RIDGE_RATIO = 1e-10
-# Offsets per block of the correlation table's maxima index. Smaller blocks
-# make each step's block upkeep cheaper and its reduction of B to best_val
-# dearer. On emp encodes of 16384 samples with 32 atoms of 100, 64 and 128
-# took 55 ms, 32 and 256 took 59 and 61 ms.
+# Offsets per block of the correlation table's search index. Smaller blocks
+# make each step's upkeep of the index cheaper and the argmax over the
+# blocks dearer; 16 and 32 sped up mp but slowed learning at 32 atoms of 100.
 BLOCK = 64
-# Rows per group in the first stage of the block-maxima reduction.
-_FOLD = 8
 # Entries of the sliding-window copy _corr_rows matmuls at a time: 512 KB,
 # small enough to stay in L2.
 _WINDOW_ENTRIES = 1 << 16
@@ -109,18 +106,6 @@ class PursuitConfig:
     def quota(self, window_len: int, m: int) -> int:
         """Per-atom selection quota Q = floor(p * N / M)."""
         return int(math.floor(self.p * window_len / m))
-
-
-@dataclass
-class QuotaState:
-    """Per-atom selection counters against a common quota."""
-
-    counts: np.ndarray
-    quota: int
-
-    @classmethod
-    def fresh(cls, m: int, quota: int) -> "QuotaState":
-        return cls(np.zeros(m, dtype=np.int64), quota)
 
 
 @dataclass
@@ -218,16 +203,21 @@ class CorrelationTable:
     M^2 * (2 Lmax - 1) * 8 bytes (8 MB at M=32, Lmax=512) and is built once
     per table.
 
-    B[i, b] is the largest |T| of atom i over offsets b*BLOCK..(b+1)*BLOCK-1,
-    atom-major so that best_val, each live atom's largest |T|, is one
-    contiguous reduction per atom. The build fills T a chunk of whole blocks
-    at a time and takes each chunk's block maxima while it is still in
-    cache, through a chunk-sized |T| scratch, never a full-size copy of |T|;
-    best_val is reduced once at the end. After each step only the blocks the
-    step touched are recomputed, by reductions whose inner loops run along
-    rows of T. best() breaks ties by first occurrence: lowest atom index, then
-    lowest offset. deactivate() drops an atom from the search (best_val
-    -inf); its column is still updated.
+    The search index is flat: Bm[b] is the largest |T| over all atoms at
+    offsets b*BLOCK..(b+1)*BLOCK-1 and Bp[b] its first row-major position
+    in the block (row * M + atom). A block's BLOCK*M entries are contiguous,
+    so the build (a chunk of whole blocks at a time, still in cache) and
+    each refresh (the blocks it touched) take one |T| into a scratch and
+    one argmax per block. T is a view of a buffer padded with zero rows to
+    whole blocks; the pad follows every real offset, so no search picks it.
+
+    deactivate() drops an atom lazily: it sets the atom's column of a
+    0/-inf penalty tile that later refreshes add to |T|, and best()
+    re-evaluates over live atoms any block whose top entry is dead before
+    accepting it. So Bm[b] lies between the block's live-atom and all-atom
+    maxima, and equals the former when its top entry is live. Dead atoms'
+    columns are still updated. best() breaks ties by lowest atom index,
+    then lowest offset, across blocks too.
     """
 
     def __init__(self, residual: np.ndarray, waveforms: Sequence[np.ndarray]):
@@ -247,15 +237,18 @@ class CorrelationTable:
         limits = self.n - np.array(self.lengths)
         tail_rows = np.arange(self._tail, nrows)[:, None]
         self._tail_mask = (tail_rows <= limits[None, :]).astype(np.float64)
-        self.T = np.empty((nrows, m))
-        self.B = np.empty((m, (nrows + BLOCK - 1) // BLOCK))
+        nblocks = (nrows + BLOCK - 1) // BLOCK
+        self._padded = np.zeros((nblocks * BLOCK, m))
+        self.T = self._padded[:nrows]
+        self.Bm = np.empty(nblocks)
+        self.Bp = np.empty(nblocks, dtype=np.intp)
         self.live = np.ones(m, dtype=bool)
-        self.best_val = np.full(m, -np.inf)
         self.rows = [self.T[: limits[i] + 1, i] for i in range(m)]
         self.X = _cross_correlations(self.W)
         self._tflat = self.T.reshape(-1)
         self._xflat = self.X.reshape(-1)
         self._abs = np.empty((0, m))  # grows to one chunk or step, not to T's size
+        self._penalty: np.ndarray | None = None  # scratch-sized, once an atom is dead
         # Whole blocks whose window copy fits _WINDOW_ENTRIES, so each chunk's
         # maxima are taken while the chunk is still in cache.
         chunk = max(1, _WINDOW_ENTRIES // (self.lmax * BLOCK)) * BLOCK
@@ -263,7 +256,6 @@ class CorrelationTable:
             hi = min(lo + chunk, nrows) - 1
             self._recompute(lo, hi)
             self._update_maxima(lo, hi)
-        self._set_best()
 
     def _recompute(self, lo: int, hi: int) -> None:
         """Exact correlations at offsets lo..hi, zero past each atom's limit."""
@@ -281,32 +273,26 @@ class CorrelationTable:
             tail = self._tail
             self.T[lo : hi + 1] *= self._tail_mask[lo - tail : hi + 1 - tail]
 
-    def _update_maxima(self, lo: int, hi: int) -> None:
-        """Recompute B over the blocks covering offsets lo..hi, not best_val.
-
-        |T| of those blocks goes into the _abs scratch. A full block's BLOCK
-        rows are reduced in two stages whose inner loops run along rows of
-        T: first across its groups of _FOLD rows, an elementwise max over
-        _FOLD*M contiguous entries, then across the _FOLD rows that remain.
-        """
-        b0 = lo // BLOCK
-        span = self.T[b0 * BLOCK : (hi // BLOCK + 1) * BLOCK]
+    def _live_abs(self, b0: int, b1: int) -> np.ndarray:
+        """|T| of blocks b0..b1-1 in the scratch, -inf in dead atoms' columns."""
+        span = self._padded[b0 * BLOCK : b1 * BLOCK]
         if len(span) > len(self._abs):
             self._abs = np.empty_like(span)
+            if self._penalty is not None:
+                self._penalty = np.zeros_like(span)
+                self._penalty[:, ~self.live] = -np.inf
         seg = np.abs(span, out=self._abs[: len(span)])
-        m = seg.shape[1]
-        full = len(seg) // BLOCK
-        if full:
-            folded = seg[: full * BLOCK].reshape(full, BLOCK // _FOLD, _FOLD * m)
-            folded = folded.max(axis=1).reshape(full, _FOLD, m).max(axis=1)
-            self.B[:, b0 : b0 + full] = folded.T
-        if len(seg) > full * BLOCK:
-            self.B[:, b0 + full] = seg[full * BLOCK :].max(axis=0)
+        if self._penalty is not None:
+            seg += self._penalty[: len(span)]
+        return seg
 
-    def _set_best(self) -> None:
-        """Reduce B to best_val, each live atom's largest |T|."""
-        self.B.max(axis=1, out=self.best_val)
-        np.copyto(self.best_val, -np.inf, where=~self.live)
+    def _update_maxima(self, lo: int, hi: int) -> None:
+        """Recompute Bm and Bp over the blocks covering offsets lo..hi."""
+        b0, b1 = lo // BLOCK, hi // BLOCK + 1
+        blocks = self._live_abs(b0, b1).reshape(b1 - b0, -1)
+        pos = blocks.argmax(axis=1)
+        self.Bp[b0:b1] = pos
+        self.Bm[b0:b1] = blocks[np.arange(b1 - b0), pos]
 
     def refresh(
         self,
@@ -347,25 +333,43 @@ class CorrelationTable:
                 )
             self._zero_tail(lo, hi)
         self._update_maxima(lo, hi)
-        self._set_best()
 
     def deactivate(self, atom_index: int) -> None:
         """Drop an atom from the search (quota reached)."""
         self.live[atom_index] = False
-        self.best_val[atom_index] = -np.inf
+        if self._penalty is None:
+            self._penalty = np.zeros_like(self._abs)
+        self._penalty[:, atom_index] = -np.inf
 
     def value(self, atom_index: int, offset: int) -> float:
         return float(self.T[offset, atom_index])
 
+    def _block_best(self, b: int) -> tuple[int, int]:
+        """(atom, offset) of block b's largest live |T|, lowest atom first."""
+        i, t = divmod(int(self._live_abs(b, b + 1).T.argmax()), BLOCK)
+        return i, b * BLOCK + t
+
     def best(self) -> tuple[float, int, int] | None:
         """Largest |c| over live atoms; (value, atom, offset) or None."""
-        vals = self.best_val
-        i = int(vals.argmax())
-        if vals[i] == -np.inf:
-            return None
-        b = int(self.B[i].argmax())
-        off = b * BLOCK + int(np.abs(self.T[b * BLOCK : (b + 1) * BLOCK, i]).argmax())
-        return float(vals[i]), i, off
+        Bm, Bp, live = self.Bm, self.Bp, self.live
+        m = len(live)
+        while True:
+            b = int(Bm.argmax())
+            if live[Bp[b] % m]:
+                break
+            if not live.any():
+                return None
+            self._update_maxima(b * BLOCK, b * BLOCK)
+        v = Bm[b]
+        if int(Bm[::-1].argmax()) == len(Bm) - 1 - b:
+            i, off = self._block_best(b)
+        else:
+            # v recurs in a later block: a tie, or a dead atom's stale entry.
+            for c in np.flatnonzero(Bm == v).tolist():
+                if not live[Bp[c] % m]:
+                    self._update_maxima(c * BLOCK, c * BLOCK)
+            i, off = min(self._block_best(c) for c in np.flatnonzero(Bm == v).tolist())
+        return float(v), i, off
 
 
 def correlate_all(
@@ -380,6 +384,9 @@ def correlate_all(
     residual = np.asarray(residual, dtype=np.float64)
     if len(residual) < max(len(w) for w in waveforms):
         raise ValueError("residual shorter than the longest atom")
+    finite = [np.isfinite(residual).all()] + [np.isfinite(w).all() for w in waveforms]
+    if not all(finite):
+        raise ValueError("residual or atoms contain non-finite samples")
     return CorrelationTable(residual, waveforms)
 
 
@@ -549,7 +556,7 @@ def match(
             f"equiprobable quota floor(p*N/M) = {q} < 1; "
             "raise p or use a longer window"
         )
-    quota = QuotaState.fresh(m, q)
+    counts = np.zeros(m, dtype=np.int64)  # selections per atom
     budget = config.iteration_budget
     if budget is None and not config.equiprobable:
         budget = m * q  # sparsity parity with the equiprobable variants
@@ -615,8 +622,8 @@ def match(
         if local:
             bisect.insort(starts, (off, len(code.events)))
         code.events.append(new_event)
-        quota.counts[i] += 1
-        if config.equiprobable and quota.counts[i] >= q:
+        counts[i] += 1
+        if config.equiprobable and counts[i] >= q:
             table.deactivate(i)
         k += 1
 
@@ -689,7 +696,13 @@ def save_code(code: SparseCode, path, residual_path=None) -> None:
 
 
 def load_code(path, residual_path=None) -> SparseCode:
-    """Read a sparse code written by save_code."""
+    """Read a sparse code written by save_code.
+
+    A malformed file raises DataFormatError: a bad record, a negative atom
+    index or offset, a non-finite coefficient or residual sample, a header
+    value that does not parse, a window length below 1, or a residual of
+    the wrong length.
+    """
     header: dict[str, str] = {}
     events: list[SparseEvent] = []
     try:
@@ -710,7 +723,12 @@ def load_code(path, residual_path=None) -> SparseCode:
                     raise DataFormatError(
                         f"negative atom index or offset in {line!r} in {path!r}"
                     )
-                events.append(SparseEvent(atom_index, offset, float(parts[2])))
+                coefficient = float(parts[2])
+                if not math.isfinite(coefficient):
+                    raise DataFormatError(
+                        f"non-finite coefficient in {line!r} in {path!r}"
+                    )
+                events.append(SparseEvent(atom_index, offset, coefficient))
     except FileNotFoundError:
         raise
     except (ValueError, OSError) as exc:
@@ -722,20 +740,26 @@ def load_code(path, residual_path=None) -> SparseCode:
             f"unsupported code format version {header.get('format_version')!r}"
         )
     try:
-        window_len = int(header["window_len"])
-    except (KeyError, ValueError) as exc:
-        raise DataFormatError(f"missing window_len in {path!r}") from exc
+        window_len = int(header.get("window_len", "0"))
+        p = float(header["p"]) if header.get("p") else None
+        sample_rate = int(header["sample_rate"]) if header.get("sample_rate") else None
+    except ValueError as exc:
+        raise DataFormatError(f"bad header value in {path!r}: {exc}") from exc
+    if window_len < 1:
+        raise DataFormatError(f"missing or non-positive window_len in {path!r}")
     residual = None
     if residual_path is not None:
         residual = np.fromfile(residual_path, dtype="<f8")
         if len(residual) != window_len:
             raise DataFormatError("residual file length does not match window_len")
+        if not np.all(np.isfinite(residual)):
+            raise DataFormatError(f"residual file {residual_path!r} is not finite")
     return SparseCode(
         events=events,
         residual=residual,
         window_len=window_len,
         variant=header.get("variant", "mp"),
-        p=float(header["p"]) if header.get("p") else None,
-        sample_rate=int(header["sample_rate"]) if header.get("sample_rate") else None,
+        p=p,
+        sample_rate=sample_rate,
         dict_digest=header.get("dict_digest") or None,
     )

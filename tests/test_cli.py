@@ -439,6 +439,17 @@ class TestExitCodes:
         )
         assert code == EXIT_DATA
 
+    def test_malformed_code_header_is_data_exit(self, tmp_path, dict_path):
+        bad = tmp_path / "bad.code"
+        bad.write_text("#format=empursuit-code\n#format_version=1\n#window_len=64\n#p=a\n")
+        code = main(
+            [
+                "reconstruct", "--dict", dict_path, "--code", str(bad),
+                "--out", str(tmp_path / "x.wav"),
+            ]
+        )
+        assert code == EXIT_DATA
+
     def test_degenerate_noise_scaling_is_numeric_exit(
         self, tmp_path, zero_cfg, dict_path
     ):

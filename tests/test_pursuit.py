@@ -17,7 +17,6 @@ from empursuit.pursuit import (
     VARIANTS,
     CorrelationTable,
     PursuitConfig,
-    QuotaState,
     SparseCode,
     SparseEvent,
     correlate_all,
@@ -57,6 +56,29 @@ def planted_signal(
     return x
 
 
+def brute_force_best(table: CorrelationTable) -> tuple[float, int, int] | None:
+    """Largest live |T|, lowest atom then lowest offset, by a full scan."""
+    if not table.live.any():
+        return None
+    A = np.abs(table.T)
+    A[:, ~table.live] = -np.inf
+    top = A.max()
+    i, off = min((int(j), int(t)) for t, j in np.argwhere(A == top))
+    return float(top), i, off
+
+
+def assert_index_bounds(table: CorrelationTable) -> None:
+    """Each Bm[b] is the |T| entry at Bp[b] and lies between the block's
+    largest live-atom |T| and its largest |T| over all atoms."""
+    A = np.abs(table.T)
+    m = A.shape[1]
+    for b in range(len(table.Bm)):
+        blk = A[b * pursuit.BLOCK : (b + 1) * pursuit.BLOCK]
+        t, i = divmod(int(table.Bp[b]), m)
+        assert table.Bm[b] == blk[t, i]
+        assert blk[:, table.live].max(initial=-np.inf) <= table.Bm[b] <= blk.max()
+
+
 class TestPursuitConfig:
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
@@ -81,14 +103,6 @@ class TestPursuitConfig:
         assert PursuitConfig(variant="eomp").equiprobable
         assert not PursuitConfig(variant="mp").equiprobable
         assert not PursuitConfig(variant="omp").equiprobable
-
-
-class TestQuotaState:
-    def test_fresh_counts_and_quota(self):
-        q = QuotaState.fresh(3, 2)
-        assert q.quota == 2
-        assert q.counts.dtype == np.int64
-        np.testing.assert_array_equal(q.counts, [0, 0, 0])
 
 
 class TestReferenceEquivalence:
@@ -595,12 +609,19 @@ class TestCorrelationTable:
         assert any(off > n - 30 for _, off in picked)
         assert not tables[0].T[n - 30 + 1 :, [1, 3]].any()
 
-    def test_tie_break_lowest_atom_then_offset(self):
-        w = np.array([1.0])
-        residual = np.array([0.0, 1.0, 0.0, 1.0])
-        table = correlate_all(residual, [w, w.copy()])
+    @pytest.mark.parametrize(
+        "atoms, residual, want",
+        [
+            ([[1.0], [1.0]], [0.0, 1.0, 0.0, 1.0], (0, 1)),
+            # atom 1 reaches 1 at offset 1, before atom 0 does at offset 2
+            ([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0, 1.0, 0.0], (0, 2)),
+        ],
+        ids=["same-offset", "lower-atom-later"],
+    )
+    def test_tie_break_lowest_atom_then_offset(self, atoms, residual, want):
+        table = correlate_all(np.array(residual), [np.array(w) for w in atoms])
         val, i, off = table.best()
-        assert (i, off) == (0, 1)
+        assert (i, off) == want
         assert val == pytest.approx(1.0)
 
     def test_tie_across_blocks_goes_to_lowest_atom(self):
@@ -610,12 +631,54 @@ class TestCorrelationTable:
         residual[5:7] = [1.0, -1.0]
         residual[late : late + 2] = [1.0, 1.0]
         table = correlate_all(residual, [np.array([1.0, 1.0]), np.array([1.0, -1.0])])
-        assert np.argmax(table.B[1]) == 0 and np.argmax(table.B[0]) == 2
+        assert table.Bm[0] == table.Bm[2] == 2.0
+        # Row-major positions in the block: atom 1 at row 5, atom 0 at row 10.
+        assert table.Bp[0] == 5 * 2 + 1 and table.Bp[2] == 10 * 2
         assert table.best() == (2.0, 0, late)
+
+    def test_tie_with_a_stale_block_goes_to_lowest_live_atom(self):
+        """Atom 1 tops block 0 at 2; block 1 holds 2 for dead atom 2 first,
+        then for atom 0; block 2 holds 2 for dead atom 2 only."""
+        residual = np.zeros(3 * pursuit.BLOCK + 1)
+        residual[5:7] = [1.0, -1.0]
+        residual[67] = 1.0
+        residual[74:76] = [1.0, 1.0]
+        residual[140] = 1.0
+        atoms = [np.array([1.0, 1.0]), np.array([1.0, -1.0]), np.array([2.0, 0.0])]
+        table = correlate_all(residual, atoms)
+        np.testing.assert_array_equal(table.Bm, [2.0, 2.0, 2.0])
+        np.testing.assert_array_equal(table.Bp % 3, [1, 2, 2])
+        table.deactivate(2)
+        assert table.best() == (2.0, 0, 74)
+        assert_index_bounds(table)
+        assert table.Bm[2] == 1.0
+
+    @pytest.mark.parametrize("length, n", [(9, 6 * pursuit.BLOCK + 20), (1100, 1400)])
+    def test_deactivating_an_atom_that_tops_many_blocks(self, length, n):
+        """The search skips a dead atom's stale block maxima until all are dead.
+
+        At length 1100 the build's scratch holds one block, so the first
+        refresh after a deactivation grows it and its penalty tile.
+        """
+        rng = np.random.default_rng(3021)
+        atoms = [w / np.linalg.norm(w) for w in rng.standard_normal((4, length))]
+        atoms[2] = 10.0 * atoms[2]
+        residual = rng.standard_normal(n)
+        table = correlate_all(residual, atoms)
+        assert np.count_nonzero(table.Bp % 4 == 2) >= len(table.Bm) - 1
+        for _ in range(4):
+            found = table.best()
+            assert found == brute_force_best(table)
+            assert_index_bounds(table)
+            _, i, off = found
+            table.deactivate(i)
+            residual[off : off + length] -= rng.uniform(0.5, 1.0) * atoms[i]
+            table.refresh(off, off + length)
+        assert table.best() is None
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_maxima_index_matches_brute_force_every_step(self, variant, monkeypatch):
-        """B and best() agree with a brute-force search before every select.
+        """Bm, Bp and best() agree with a brute-force search before every select.
 
         Mixed lengths leave tail rows past the long atoms' limit, and the
         table's row count is not a multiple of the block size, so its last
@@ -633,19 +696,18 @@ class TestCorrelationTable:
         counts = np.zeros(m, dtype=np.int64)
         build = pursuit.correlate_all
 
-        def check():
+        def check(built=False):
             table = tables[0]
             A = np.abs(table.T)
             size = pursuit.BLOCK
             assert len(A) % size != 0
-            want_B = np.array(
-                [
-                    [A[s : s + size, i].max() for s in range(0, len(A), size)]
-                    for i in range(m)
-                ]
-            )
-            np.testing.assert_array_equal(table.B, want_B)
+            if built:
+                blocks = [A[s : s + size] for s in range(0, len(A), size)]
+                np.testing.assert_array_equal(table.Bm, [blk.max() for blk in blocks])
+                np.testing.assert_array_equal(table.Bp, [blk.argmax() for blk in blocks])
             live = counts < q if cfg.equiprobable else np.ones(m, dtype=bool)
+            np.testing.assert_array_equal(table.live, live)
+            assert_index_bounds(table)
             A[:, ~live] = -np.inf
             if not live.any():
                 assert table.best() is None
@@ -656,7 +718,7 @@ class TestCorrelationTable:
 
         def spy(*args, **kwargs):
             tables.append(build(*args, **kwargs))
-            check()
+            check(built=True)
             return tables[-1]
 
         def on_step(info):
@@ -698,11 +760,9 @@ class TestCorrelationTable:
             got = table.T[: len(want), i]
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
             assert not table.T[len(want) :, i].any()
-        size = pursuit.BLOCK
-        want_B = np.array(
-            [[col[s : s + size].max() for s in range(0, len(A), size)] for col in A.T]
-        )
-        np.testing.assert_array_equal(table.B, want_B)
+        blocks = [A[s : s + pursuit.BLOCK] for s in range(0, len(A), pursuit.BLOCK)]
+        np.testing.assert_array_equal(table.Bm, [blk.max() for blk in blocks])
+        np.testing.assert_array_equal(table.Bp, [blk.argmax() for blk in blocks])
         top = A.max()
         i, off = min((int(j), int(t)) for t, j in np.argwhere(A == top))
         assert table.best() == (top, i, off)
@@ -723,6 +783,14 @@ class TestCorrelationTable:
     def test_atom_longer_than_window_rejected(self):
         with pytest.raises(ValueError):
             correlate_all(np.zeros(4), [np.ones(5)])
+
+    @pytest.mark.parametrize("where", ["residual", "atom"])
+    def test_non_finite_input_rejected(self, where):
+        """A NaN table could leave a dead atom on top of the search for good."""
+        residual, atom = np.zeros(8), np.ones(3)
+        (residual if where == "residual" else atom)[1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            correlate_all(residual, [atom])
 
 
 class TestMatchValidation:
@@ -848,6 +916,39 @@ class TestCodeSerialization:
         )
         with pytest.raises(DataFormatError, match="negative"):
             load_code(path)
+
+    @pytest.mark.parametrize("coefficient", ["nan", "inf", "-inf"])
+    def test_non_finite_coefficient_rejected(self, tmp_path, coefficient):
+        path = tmp_path / "nan.code"
+        header = "#format=empursuit-code\n#format_version=1\n#window_len=64\n"
+        path.write_text(f"{header}0 5 {coefficient}\n")
+        with pytest.raises(DataFormatError, match="non-finite"):
+            load_code(path)
+
+    @pytest.mark.parametrize("line", ["#p=abc", "#sample_rate=x", "#window_len=4.5"])
+    def test_unparsable_header_value_rejected(self, tmp_path, line):
+        path = tmp_path / "hdr.code"
+        header = "#format=empursuit-code\n#format_version=1\n#window_len=64\n"
+        path.write_text(header + line + "\n0 5 0.5\n")
+        with pytest.raises(DataFormatError, match="bad"):
+            load_code(path)
+
+    @pytest.mark.parametrize("window_len", ["0", "-5"])
+    def test_non_positive_window_len_rejected(self, tmp_path, window_len):
+        path = tmp_path / "w.code"
+        path.write_text(
+            f"#format=empursuit-code\n#format_version=1\n#window_len={window_len}\n"
+        )
+        with pytest.raises(DataFormatError, match="window_len"):
+            load_code(path)
+
+    def test_non_finite_residual_rejected(self, tmp_path):
+        cpath = tmp_path / "x.code"
+        rpath = tmp_path / "x.res"
+        cpath.write_text("#format=empursuit-code\n#format_version=1\n#window_len=4\n")
+        np.array([0.0, np.nan, 1.0, 2.0]).astype("<f8").tofile(rpath)
+        with pytest.raises(DataFormatError, match="finite"):
+            load_code(cpath, residual_path=rpath)
 
     def test_residual_length_mismatch_rejected(self, tmp_path):
         cpath = tmp_path / "x.code"
