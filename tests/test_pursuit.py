@@ -609,19 +609,20 @@ class TestCorrelationTable:
         assert any(off > n - 30 for _, off in picked)
         assert not tables[0].T[n - 30 + 1 :, [1, 3]].any()
 
-    @pytest.mark.parametrize(
-        "atoms, residual, want",
-        [
-            ([[1.0], [1.0]], [0.0, 1.0, 0.0, 1.0], (0, 1)),
-            # atom 1 reaches 1 at offset 1, before atom 0 does at offset 2
-            ([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0, 1.0, 0.0], (0, 2)),
-        ],
-        ids=["same-offset", "lower-atom-later"],
-    )
-    def test_tie_break_lowest_atom_then_offset(self, atoms, residual, want):
-        table = correlate_all(np.array(residual), [np.array(w) for w in atoms])
+    def test_tie_break_lowest_atom_then_offset(self):
+        w = np.array([1.0])
+        residual = np.array([0.0, 1.0, 0.0, 1.0])
+        table = correlate_all(residual, [w, w.copy()])
         val, i, off = table.best()
-        assert (i, off) == want
+        assert (i, off) == (0, 1)
+        assert val == pytest.approx(1.0)
+
+    def test_tie_goes_to_lower_atom_at_a_later_offset(self):
+        """Atom 1 reaches 1 at offset 1, before atom 0 does at offset 2."""
+        residual = np.array([0.0, 0.0, 1.0, 0.0])
+        table = correlate_all(residual, [np.array([1.0, 0.0]), np.array([0.0, 1.0])])
+        val, i, off = table.best()
+        assert (i, off) == (0, 2)
         assert val == pytest.approx(1.0)
 
     def test_tie_across_blocks_goes_to_lowest_atom(self):
