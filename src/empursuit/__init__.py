@@ -24,18 +24,15 @@ from .errors import (
 from .learner import (
     BlockRecord,
     LearnConfig,
-    LearnTrace,
     apply_update,
     atom_gradient,
     dlearn,
     write_trace,
 )
 from .metrics import (
-    EventStats,
     coeff_entropy,
     denoise_sweep,
     event_rates,
-    event_stats,
     index_entropy,
     p_sweep,
     profile_dictionary,
@@ -75,9 +72,7 @@ __all__ = [
     "DegenerateSignalError",
     "Dictionary",
     "EmpursuitError",
-    "EventStats",
     "LearnConfig",
-    "LearnTrace",
     "PursuitConfig",
     "Signal",
     "SparseCode",
@@ -94,7 +89,6 @@ __all__ = [
     "dict_digest",
     "dlearn",
     "event_rates",
-    "event_stats",
     "extnorm",
     "index_entropy",
     "load_code",

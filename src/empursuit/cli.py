@@ -25,10 +25,11 @@ from .learner import LearnConfig, dlearn, write_trace
 from .metrics import (
     HISTOGRAM_BIN_COUNTS,
     clamp_db,
-    denoise_sweep,
-    event_stats,
-    index_entropy,
     coeff_entropy,
+    coeff_histogram,
+    denoise_sweep,
+    event_rates,
+    index_entropy,
     p_sweep,
     profile_dictionary,
     profile_signal,
@@ -77,12 +78,6 @@ def _load_input(args) -> Signal:
     return load_wav(args.input)
 
 
-def _resolved_config(args) -> dict:
-    cfg = {k: v for k, v in vars(args).items() if k != "func"}
-    cfg["argv_command"] = args.command
-    return cfg
-
-
 @functools.cache
 def _environment() -> dict:
     """Package, numpy, scipy and BLAS versions, BLAS thread settings and CPU.
@@ -114,7 +109,8 @@ def _emit_run_config(primary_out: str, args) -> str:
     The digest covers the resolved parameters only, not the environment,
     so the same parameters give the same digest on any machine.
     """
-    cfg = _resolved_config(args)
+    cfg = {k: v for k, v in vars(args).items() if k != "func"}
+    cfg["argv_command"] = args.command
     blob = json.dumps(cfg, indent=2, sort_keys=True, default=str)
     record = json.dumps(
         {**cfg, "environment": _environment()}, indent=2, sort_keys=True, default=str
@@ -124,18 +120,12 @@ def _emit_run_config(primary_out: str, args) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _csv_floats(text: str) -> list[float]:
+def _csv_list(text: str, kind: type) -> list:
+    """Comma-separated numbers of one kind (int or float)."""
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+        return [kind(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
-        raise ValueError(f"bad number list {text!r}") from exc
-
-
-def _csv_ints(text: str) -> list[int]:
-    try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ValueError(f"bad integer list {text!r}") from exc
+        raise ValueError(f"bad {kind.__name__} list {text!r}") from exc
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -246,9 +236,9 @@ def cmd_eval(args) -> int:
         "analysis": args.analysis,
         "p": args.p,
     }
+    variants = args.variants.split(",") if args.variants else list(VARIANTS)
 
     if args.analysis == "entropy":
-        variants = args.variants.split(",") if args.variants else list(VARIANTS)
         rows = []
         for variant in variants:
             code = match(dictionary, sig, PursuitConfig(variant=variant, p=args.p))
@@ -265,27 +255,23 @@ def cmd_eval(args) -> int:
             f"coeff_entropy_{b}" for b in HISTOGRAM_BIN_COUNTS
         ]
         write_table(args.out, columns, rows, header)
-    elif args.analysis == "rates":
+    elif args.analysis in ("rates", "histograms"):
         cfg = PursuitConfig(variant=args.variant, p=args.p, iteration_budget=args.iters)
         code = match(dictionary, sig, cfg)
-        stats = event_stats(code, sig.sample_rate, m)
-        rows = [(i, f"{r:.6f}") for i, r in rates_table(stats.rates)]
-        write_table(args.out, ["atom_index", "events_per_second"], rows, header)
-    elif args.analysis == "histograms":
-        cfg = PursuitConfig(variant=args.variant, p=args.p, iteration_budget=args.iters)
-        code = match(dictionary, sig, cfg)
-        stats = event_stats(code, sig.sample_rate, m)
-        rows = []
-        for bins, hist in stats.coeff_histograms.items():
-            for b, count in enumerate(hist):
-                rows.append((bins, b, int(count)))
-        header["index_entropy_bits"] = f"{stats.index_entropy_bits:.6f}"
-        for bins, bits in stats.coeff_entropy_bits.items():
-            header[f"coeff_entropy_{bins}"] = f"{bits:.6f}"
-        write_table(args.out, ["bins", "bin_index", "count"], rows, header)
+        if args.analysis == "rates":
+            rates = event_rates(code, sig.sample_rate, m)
+            rows = [(i, f"{r:.6f}") for i, r in rates_table(rates)]
+            write_table(args.out, ["atom_index", "events_per_second"], rows, header)
+        else:
+            header["index_entropy_bits"] = f"{index_entropy(code, m):.6f}"
+            rows = []
+            for bins in HISTOGRAM_BIN_COUNTS:
+                hist = coeff_histogram(code, bins)
+                rows += [(bins, b, int(count)) for b, count in enumerate(hist)]
+                header[f"coeff_entropy_{bins}"] = f"{coeff_entropy(code, bins):.6f}"
+            write_table(args.out, ["bins", "bin_index", "count"], rows, header)
     elif args.analysis == "denoise":
-        ratios = _csv_floats(args.ratios)
-        variants = args.variants.split(",") if args.variants else list(VARIANTS)
+        ratios = _csv_list(args.ratios, float)
         rows = []
         for variant in variants:
             cfg = PursuitConfig(variant=variant, p=args.p)
@@ -313,7 +299,7 @@ def cmd_profile(args) -> int:
         dictionary = load_dict(args.dict)
     else:
         dictionary = profile_dictionary(args.atoms, args.atom_len, seed=args.seed)
-    windows = _csv_ints(args.windows)
+    windows = _csv_list(args.windows, int)
     sig = profile_signal(dictionary, max(windows), seed=args.seed)
     digest = _emit_run_config(args.out, args)
     rows = timing_profile(
@@ -322,7 +308,6 @@ def cmd_profile(args) -> int:
         windows,
         p=args.p,
         repeats=args.repeats,
-        warmup=args.warmup,
     )
     header = {
         "config_digest": digest,
@@ -412,7 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_prof.add_argument("--windows", default="8192,32768,131072")
     p_prof.add_argument("--p", type=float, default=0.05)
     p_prof.add_argument("--repeats", type=int, default=3)
-    p_prof.add_argument("--warmup", type=int, default=1)
     p_prof.add_argument("--out", required=True)
     p_prof.set_defaults(func=cmd_profile)
     return parser

@@ -34,6 +34,9 @@ INIT_BODY_LEN = 50
 
 _FORMAT_NAME = "empursuit-dict"
 _FORMAT_VERSION = 1
+# Largest |norm - 1| of an atom. The pursuit takes a lone event's correlation
+# as its coefficient, which is the least-squares one only for unit norm.
+UNIT_NORM_TOL = 1e-9
 
 
 @dataclass(eq=False)
@@ -66,7 +69,6 @@ class Dictionary:
     """Ordered set of atoms; indices are stable identities."""
 
     atoms: list[Atom]
-    version: int = _FORMAT_VERSION
     sample_rate_hint: int | None = None
     provenance: str = ""
 
@@ -81,8 +83,7 @@ class Dictionary:
         if not isinstance(other, Dictionary):
             return NotImplemented
         return (
-            self.version == other.version
-            and self.sample_rate_hint == other.sample_rate_hint
+            self.sample_rate_hint == other.sample_rate_hint
             and self.provenance == other.provenance
             and len(self.atoms) == len(other.atoms)
             and all(a == b for a, b in zip(self.atoms, other.atoms))
@@ -92,9 +93,13 @@ class Dictionary:
     def waveforms(self) -> list[np.ndarray]:
         return [a.waveform for a in self.atoms]
 
-    @property
-    def max_len(self) -> int:
-        return max(len(a) for a in self.atoms)
+
+def _non_unit_atom(d: Dictionary) -> int | None:
+    """Index of the first atom whose norm is off 1 by more than UNIT_NORM_TOL."""
+    for i, a in enumerate(d.atoms):
+        if abs(float(np.linalg.norm(a.waveform)) - 1.0) > UNIT_NORM_TOL:
+            return i
+    return None
 
 
 def _random_atom(rng: np.random.Generator) -> Atom:
@@ -160,7 +165,7 @@ def _rms(x: np.ndarray) -> float:
 def dict_digest(d: Dictionary) -> str:
     """Content hash of the dictionary (format version, M, atom samples)."""
     h = hashlib.sha256()
-    h.update(f"{_FORMAT_NAME}:{d.version}:{len(d.atoms)}".encode())
+    h.update(f"{_FORMAT_NAME}:{_FORMAT_VERSION}:{len(d.atoms)}".encode())
     for atom in d.atoms:
         h.update(np.ascontiguousarray(atom.waveform, dtype="<f8").tobytes())
     return h.hexdigest()
@@ -170,7 +175,7 @@ def save_dict(d: Dictionary, path) -> None:
     """Write a dictionary as self-describing JSON; floats round-trip exactly."""
     doc = {
         "format": _FORMAT_NAME,
-        "format_version": d.version,
+        "format_version": _FORMAT_VERSION,
         "m": len(d.atoms),
         "sample_rate_hint": d.sample_rate_hint,
         "pad_len": d.atoms[0].pad_len,
@@ -183,7 +188,10 @@ def save_dict(d: Dictionary, path) -> None:
 
 
 def load_dict(path) -> Dictionary:
-    """Read a dictionary written by save_dict; structured errors on bad files."""
+    """Read a dictionary written by save_dict; structured errors on bad files.
+
+    Atoms must be unit norm to within UNIT_NORM_TOL.
+    """
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -205,7 +213,6 @@ def load_dict(path) -> Dictionary:
         ]
         d = Dictionary(
             atoms,
-            version=int(doc["format_version"]),
             sample_rate_hint=doc.get("sample_rate_hint"),
             provenance=doc.get("provenance", ""),
         )
@@ -213,4 +220,7 @@ def load_dict(path) -> Dictionary:
         raise DataFormatError(f"bad dictionary contents in {path!r}: {exc}") from exc
     if int(doc["m"]) != len(d.atoms):
         raise DataFormatError(f"atom count mismatch in {path!r}")
+    bad = _non_unit_atom(d)
+    if bad is not None:
+        raise DataFormatError(f"atom {bad} in {path!r} is not unit norm")
     return d

@@ -1,8 +1,8 @@
 """Block-alternating dictionary learning.
 
-dlearn() draws training blocks, sparse-codes each one with the configured
-pursuit, then moves every selected atom along the gradient of the block's
-squared-residual objective:
+dlearn() draws training blocks until its block or wall-clock budget runs
+out, sparse-codes each one with the configured pursuit, then moves every
+selected atom along the gradient of the block's squared-residual objective:
 
     phi_i  <-  extnorm( phi_i + (eta / var(r)) * g_i ),
     g_i = sum over the atom's events of a_j * r[tau_j : tau_j + L_i]
@@ -16,22 +16,21 @@ equiprobable ones adapt every atom every block.
 
 from __future__ import annotations
 
-import csv
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dictionary import Atom, Dictionary, _random_atom, extnorm, randdict, save_dict
 from .errors import ZeroAtomError
+from .metrics import clamp_db, write_table
 from .pursuit import VARIANTS, PursuitConfig, SparseCode, SparseEvent, match
 from .signal_io import BlockSource, next_block
 
 __all__ = [
     "LearnConfig",
     "BlockRecord",
-    "LearnTrace",
     "atom_gradient",
     "apply_update",
     "dlearn",
@@ -52,7 +51,6 @@ class LearnConfig:
     n_blocks: int | None = None
     time_budget_s: float | None = None
     seed: int = 0
-    iteration_budget: int | None = None
     max_atom_len: int | None = None  # default: block_len // 4 at run time
     checkpoint_every: int = 0
 
@@ -73,9 +71,7 @@ class LearnConfig:
             raise ValueError("checkpoint_every must be >= 0")
 
     def pursuit(self) -> PursuitConfig:
-        return PursuitConfig(
-            variant=self.variant, p=self.p, iteration_budget=self.iteration_budget
-        )
+        return PursuitConfig(variant=self.variant, p=self.p)
 
 
 @dataclass
@@ -88,16 +84,6 @@ class BlockRecord:
     residual_var: float
     event_counts: np.ndarray
     atom_lengths: list[int]
-
-
-@dataclass
-class LearnTrace:
-    """Per-block training history, one record per processed block."""
-
-    records: list[BlockRecord] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.records)
 
 
 def atom_gradient(code: SparseCode, atom_index: int, atom_len: int) -> np.ndarray:
@@ -159,7 +145,6 @@ def apply_update(
             new_atoms.append(_random_atom(rng))
     return Dictionary(
         atoms=new_atoms,
-        version=dictionary.version,
         sample_rate_hint=dictionary.sample_rate_hint,
         provenance=dictionary.provenance,
     )
@@ -170,19 +155,20 @@ def dlearn(
     cfg: LearnConfig,
     checkpoint_dir: str | None = None,
     start_dictionary: Dictionary | None = None,
-) -> tuple[Dictionary, LearnTrace]:
+) -> tuple[Dictionary, list[BlockRecord]]:
     """Alternate pursuit and atom updates over the block stream.
 
     Deterministic given (cfg.seed, source.rng_seed). Stops at the block
-    budget, the wall-clock budget, or source exhaustion, whichever comes
-    first. With a zero budget the random initial dictionary is returned.
+    budget or the wall-clock budget, whichever comes first, and runs on
+    while neither is set. With a zero budget the random initial dictionary
+    is returned. Returns the dictionary and one record per block.
     """
     sr = source.source.sample_rate
     if start_dictionary is not None:
         dictionary = start_dictionary
     else:
         dictionary = randdict(cfg.m, seed=cfg.seed, sample_rate_hint=sr)
-    trace = LearnTrace()
+    trace: list[BlockRecord] = []
     max_atom_len = (
         cfg.max_atom_len if cfg.max_atom_len is not None else source.block_len // 4
     )
@@ -192,19 +178,13 @@ def dlearn(
     t_start = time.monotonic()
     step = 0
     prev_residual: np.ndarray | None = None
-    while True:
-        if cfg.n_blocks is not None and step >= cfg.n_blocks:
-            break
+    while cfg.n_blocks is None or step < cfg.n_blocks:
         if (
             cfg.time_budget_s is not None
             and time.monotonic() - t_start >= cfg.time_budget_s
         ):
             break
         block = next_block(source, step, prev_residual)
-        if block is None:
-            if step == 0 and (cfg.n_blocks is None or cfg.n_blocks > 0):
-                raise ValueError("block source is empty")
-            break
         code = match(dictionary, block, pcfg)
         dictionary = apply_update(
             dictionary, code, cfg.eta, max_atom_len=max_atom_len, rng=rerand_rng
@@ -220,7 +200,7 @@ def dlearn(
         else:
             snr = 10.0 * np.log10(x2 / r2)
         counts = np.bincount([ev.atom_index for ev in code.events], minlength=cfg.m)
-        trace.records.append(
+        trace.append(
             BlockRecord(
                 block=step,
                 signal_seconds=(step + 1) * source.block_len / sr,
@@ -242,33 +222,22 @@ def dlearn(
     return dictionary, trace
 
 
-def write_trace(trace: LearnTrace, path, header: dict | None = None) -> None:
+def write_trace(trace: list[BlockRecord], path, header: dict | None = None) -> None:
     """Write the trace as CSV, one row per block, ±120 dB SNR clamp."""
-    with open(path, "w", newline="") as fh:
-        for key, value in (header or {}).items():
-            fh.write(f"# {key}={value}\n")
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "block",
-                "signal_seconds",
-                "snr_db",
-                "residual_var",
-                "min_atom_len",
-                "max_atom_len",
-                "event_counts",
-            ]
-        )
-        for rec in trace.records:
-            snr = min(max(rec.snr_db, -120.0), 120.0)
-            writer.writerow(
-                [
-                    rec.block,
-                    f"{rec.signal_seconds:.6f}",
-                    f"{snr:.2f}",
-                    f"{rec.residual_var:.6e}",
-                    min(rec.atom_lengths),
-                    max(rec.atom_lengths),
-                    " ".join(str(c) for c in rec.event_counts),
-                ]
-            )
+    columns = [
+        "block", "signal_seconds", "snr_db", "residual_var",
+        "min_atom_len", "max_atom_len", "event_counts",
+    ]
+    rows = [
+        [
+            rec.block,
+            f"{rec.signal_seconds:.6f}",
+            f"{clamp_db(rec.snr_db):.2f}",
+            f"{rec.residual_var:.6e}",
+            min(rec.atom_lengths),
+            max(rec.atom_lengths),
+            " ".join(str(c) for c in rec.event_counts),
+        ]
+        for rec in trace
+    ]
+    write_table(path, columns, rows, header)

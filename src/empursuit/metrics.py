@@ -7,11 +7,11 @@ CLI serializes as CSV with commented headers.
 
 from __future__ import annotations
 
+import csv
 import functools
 import math
 import os
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,11 +20,10 @@ from .pursuit import VARIANTS, PursuitConfig, SparseCode, match, reconstruct
 from .signal_io import Signal, add_noise, snr_db, synth_signal
 
 __all__ = [
-    "EventStats",
     "index_entropy",
+    "coeff_histogram",
     "coeff_entropy",
     "event_rates",
-    "event_stats",
     "denoise_sweep",
     "p_sweep",
     "profile_dictionary",
@@ -77,11 +76,10 @@ def index_entropy(codes: list[SparseCode] | SparseCode, m: int) -> float:
     return _entropy_bits(_index_counts(codes, m))
 
 
-def coeff_entropy(codes: list[SparseCode] | SparseCode, bins: int) -> float:
-    """Entropy (bits) of coefficients histogrammed into equal-width bins.
+def coeff_histogram(codes: list[SparseCode] | SparseCode, bins: int) -> np.ndarray:
+    """Counts of coefficients in equal-width bins over the observed [min, max].
 
-    Bins span the observed [min, max]; a degenerate range (all values
-    equal) is 0 bits by convention.
+    A degenerate range (all values equal) puts every event in bin 0.
     """
     if bins < 1:
         raise ValueError("bins must be >= 1")
@@ -90,9 +88,16 @@ def coeff_entropy(codes: list[SparseCode] | SparseCode, bins: int) -> float:
         raise ValueError("entropy of an empty event stream is undefined")
     lo, hi = float(coeffs.min()), float(coeffs.max())
     if lo == hi:
-        return 0.0
-    counts, _ = np.histogram(coeffs, bins=bins, range=(lo, hi))
-    return _entropy_bits(counts)
+        counts = np.zeros(bins, dtype=np.int64)
+        counts[0] = coeffs.size
+        return counts
+    return np.histogram(coeffs, bins=bins, range=(lo, hi))[0]
+
+
+def coeff_entropy(codes: list[SparseCode] | SparseCode, bins: int) -> float:
+    """Entropy (bits) of coeff_histogram; 0 bits when one bin holds every event."""
+    counts = coeff_histogram(codes, bins)
+    return 0.0 if counts[0] == counts.sum() else _entropy_bits(counts)
 
 
 def event_rates(
@@ -112,53 +117,6 @@ def rates_table(rates: np.ndarray, top: int = TOP_RATES) -> list[tuple[int, floa
     """(atom_index, rate) rows sorted by rate descending, truncated to top."""
     order = np.argsort(-rates, kind="stable")
     return [(int(i), float(rates[i])) for i in order[:top]]
-
-
-@dataclass
-class EventStats:
-    """Bundle of the selection-statistics analyses for one code collection."""
-
-    counts: np.ndarray
-    rates: np.ndarray
-    index_entropy_bits: float
-    coeff_histograms: dict[int, np.ndarray]
-    coeff_entropy_bits: dict[int, float]
-
-
-def event_stats(
-    codes: list[SparseCode] | SparseCode,
-    sample_rate: int,
-    m: int,
-    bin_counts: tuple[int, ...] = HISTOGRAM_BIN_COUNTS,
-) -> EventStats:
-    """Counts, rates, index entropy, and coefficient histograms/entropies."""
-    counts = _index_counts(codes, m)
-    if counts.sum() == 0:
-        raise ValueError("entropy of an empty event stream is undefined")
-    coeffs = np.array([ev.coefficient for ev in _all_events(codes)])
-    lo, hi = float(coeffs.min()), float(coeffs.max())
-    histograms: dict[int, np.ndarray] = {}
-    entropies: dict[int, float] = {}
-    for bins in bin_counts:
-        if lo == hi:
-            h = np.zeros(bins, dtype=np.int64)
-            h[0] = coeffs.size
-        else:
-            h, _ = np.histogram(coeffs, bins=bins, range=(lo, hi))
-        histograms[bins] = h
-        entropies[bins] = _entropy_bits(h) if lo != hi else 0.0
-    if isinstance(codes, SparseCode):
-        total_samples = codes.window_len
-    else:
-        total_samples = sum(code.window_len for code in codes)
-    rates = counts / (total_samples / sample_rate)
-    return EventStats(
-        counts=counts,
-        rates=rates,
-        index_entropy_bits=_entropy_bits(counts),
-        coeff_histograms=histograms,
-        coeff_entropy_bits=entropies,
-    )
 
 
 def denoise_sweep(
@@ -311,7 +269,6 @@ def timing_profile(
     p: float = 0.05,
     variants: tuple[str, ...] = VARIANTS,
     repeats: int = 3,
-    warmup: int = 1,
     min_cell_time: float = 0.15,
 ) -> list[tuple[str, int, float]]:
     """Steady-state core time per signal sample per pursuit iteration.
@@ -320,9 +277,10 @@ def timing_profile(
     signal, take the median time of one call, and normalize by (window
     length x event count). Each timed measurement loops the match enough
     times to last at least min_cell_time seconds (the same autoranging
-    timeit uses). Warmup runs are discarded, and repeats are interleaved
-    round-robin across all cells so a burst of machine noise cannot poison
-    every repeat of one cell while sparing the cell it is compared against.
+    timeit uses). A first, untimed run of each cell sets its loop counts
+    and event count. Repeats are interleaved round-robin across all cells
+    so a burst of machine noise cannot poison every repeat of one cell
+    while sparing the cell it is compared against.
 
     Times are the calling thread's CPU time: unlike wall time it ignores
     descheduling, and unlike process CPU time it does not count BLAS
@@ -349,18 +307,14 @@ def timing_profile(
         cfgs = {v: PursuitConfig(variant=v, p=p) for v in variants}
         cells = [(v, int(n)) for v in variants for n in window_lengths]
         scaled = {cell: [] for cell in cells}
-        events = {cell: 1 for cell in cells}
-        loops = {cell: 1 for cell in cells}
-        ref_loops = {cell: 1 for cell in cells}
-        for i in range(max(warmup, 1)):
-            for v, n in cells:
-                t0 = time.thread_time()
-                code = match(dictionary, samples[:n], cfgs[v])
-                dt = time.thread_time() - t0
-                if i == 0:
-                    events[(v, n)] = max(len(code.events), 1)
-                    loops[(v, n)] = max(1, math.ceil(min_cell_time / max(dt, 1e-9)))
-                    ref_loops[(v, n)] = max(1, round(dt / ref))
+        events, loops, ref_loops = {}, {}, {}
+        for v, n in cells:
+            t0 = time.thread_time()
+            code = match(dictionary, samples[:n], cfgs[v])
+            dt = time.thread_time() - t0
+            events[(v, n)] = max(len(code.events), 1)
+            loops[(v, n)] = max(1, math.ceil(min_cell_time / max(dt, 1e-9)))
+            ref_loops[(v, n)] = max(1, round(dt / ref))
         for _ in range(repeats):
             for v, n in cells:
                 for _ in range(loops[(v, n)]):
@@ -380,8 +334,6 @@ def timing_profile(
 
 def write_table(path, columns: list[str], rows, header: dict | None = None) -> None:
     """CSV with '# key=value' comment lines, then a column header and rows."""
-    import csv
-
     with open(path, "w", newline="") as fh:
         for key, value in (header or {}).items():
             fh.write(f"# {key}={value}\n")

@@ -43,7 +43,7 @@ import numpy as np
 from scipy.linalg import blas as _blas
 from scipy.linalg import lapack as _lapack
 
-from .dictionary import Dictionary, dict_digest
+from .dictionary import Dictionary, _non_unit_atom, dict_digest
 from .errors import DataFormatError
 from .signal_io import Signal
 
@@ -341,9 +341,6 @@ class CorrelationTable:
             self._penalty = np.zeros_like(self._abs)
         self._penalty[:, atom_index] = -np.inf
 
-    def value(self, atom_index: int, offset: int) -> float:
-        return float(self.T[offset, atom_index])
-
     def _block_best(self, b: int) -> tuple[int, int]:
         """(atom, offset) of block b's largest live |T|, lowest atom first."""
         i, t = divmod(int(self._live_abs(b, b + 1).T.argmax()), BLOCK)
@@ -373,14 +370,10 @@ class CorrelationTable:
 
 
 def correlate_all(
-    residual: np.ndarray, dictionary: Dictionary | Sequence[np.ndarray]
+    residual: np.ndarray, waveforms: Sequence[np.ndarray]
 ) -> CorrelationTable:
     """Build the full correlation table of every atom at every valid offset."""
-    waveforms = (
-        dictionary.waveforms
-        if isinstance(dictionary, Dictionary)
-        else [np.asarray(w, dtype=np.float64) for w in dictionary]
-    )
+    waveforms = [np.asarray(w, dtype=np.float64) for w in waveforms]
     residual = np.asarray(residual, dtype=np.float64)
     if len(residual) < max(len(w) for w in waveforms):
         raise ValueError("residual shorter than the longest atom")
@@ -405,12 +398,9 @@ def select(table: CorrelationTable, floor: float = 0.0) -> tuple[int, int] | Non
     return i, off
 
 
-def _support_end(ev: SparseEvent, lengths: Sequence[int]) -> int:
-    return ev.offset + lengths[ev.atom_index]
-
-
 def neighborhood(
     events: Sequence[SparseEvent],
+    starts: Sequence[tuple[int, int]],
     new_event: SparseEvent,
     variant: str,
     atom_lengths: Sequence[int],
@@ -418,19 +408,22 @@ def neighborhood(
     """Events to re-solve jointly this iteration, new event last.
 
     mp/emp: the new event alone. omp/eomp: also every prior event whose
-    sample support intersects the new event's support.
+    sample support intersects the new event's support, in selection order.
+    starts is the index searched for them: (offset, position in events) of
+    every prior event, sorted.
     """
     if variant not in _LOCAL_LSQ:
         return [new_event]
-    start = new_event.offset
-    end = _support_end(new_event, atom_lengths)
-    psi = [
-        ev
-        for ev in events
-        if ev.offset < end and _support_end(ev, atom_lengths) > start
-    ]
-    psi.append(new_event)
-    return psi
+    off = new_event.offset
+    end = off + atom_lengths[new_event.atom_index]
+    j0 = bisect.bisect_left(starts, (off - max(atom_lengths) + 1, -1))
+    j1 = bisect.bisect_left(starts, (end, -1))
+    idxs = sorted(
+        pos
+        for s, pos in starts[j0:j1]
+        if s + atom_lengths[events[pos].atom_index] > off
+    )
+    return [events[pos] for pos in idxs] + [new_event]
 
 
 def _psi_matrix(
@@ -449,7 +442,7 @@ def _psi_matrix(
 def solve_neighborhood(
     psi: Sequence[SparseEvent],
     residual: np.ndarray,
-    dictionary: Dictionary | Sequence[np.ndarray],
+    waveforms: Sequence[np.ndarray],
 ) -> tuple[np.ndarray, bool]:
     """Least-squares coefficient increments for the neighborhood columns.
 
@@ -461,9 +454,6 @@ def solve_neighborhood(
     """
     if not psi:
         raise ValueError("neighborhood is empty")
-    waveforms = (
-        dictionary.waveforms if isinstance(dictionary, Dictionary) else dictionary
-    )
     if len(psi) == 1:
         ev = psi[0]
         w = waveforms[ev.atom_index]
@@ -483,7 +473,7 @@ def update_residual(
     residual: np.ndarray,
     psi: Sequence[SparseEvent],
     chi: np.ndarray,
-    dictionary: Dictionary | Sequence[np.ndarray],
+    waveforms: Sequence[np.ndarray],
 ) -> tuple[int, int]:
     """Subtract the neighborhood's combined contribution, in place.
 
@@ -495,9 +485,6 @@ def update_residual(
     """
     if residual.dtype != np.float64 or not residual.flags.carray:
         raise ValueError("residual must be a writeable, contiguous float64 array")
-    waveforms = (
-        dictionary.waveforms if isinstance(dictionary, Dictionary) else dictionary
-    )
     t0 = len(residual)
     t1 = 0
     for ev, c in zip(psi, chi):
@@ -536,6 +523,9 @@ def match(
         raise ValueError(
             f"window of {n} samples is shorter than the longest atom ({max(lengths)})"
         )
+    bad = _non_unit_atom(dictionary)
+    if bad is not None:
+        raise ValueError(f"atom {bad} is not unit norm")
 
     code = SparseCode(
         events=[],
@@ -563,12 +553,9 @@ def match(
 
     residual = code.residual
     floor = SELECTION_FLOOR_RATIO * norm0
-    table = correlate_all(residual, dictionary)
+    table = correlate_all(residual, waveforms)
     local = config.variant in _LOCAL_LSQ
-    # Event starts kept sorted for the overlap query; values are
-    # (offset, position in code.events).
-    starts: list[tuple[int, int]] = []
-    max_len = max(lengths)
+    starts: list[tuple[int, int]] = []  # neighborhood()'s index, kept by omp/eomp
     # Residual energy for on_step, kept up to date from the span each step
     # changes. It is recomputed exactly whenever it halves, so its round-off
     # stays relative to its own size, at O(N) per halving.
@@ -584,19 +571,7 @@ def match(
         c0 = float(np.dot(residual[off : off + lengths[i]], waveforms[i]))
         new_event = SparseEvent(i, off, 0.0)
 
-        if local and starts:
-            end = off + lengths[i]
-            j0 = bisect.bisect_left(starts, (off - max_len + 1, -1))
-            j1 = bisect.bisect_left(starts, (end, -1))
-            idxs = sorted(
-                pos
-                for s, pos in starts[j0:j1]
-                if s + lengths[code.events[pos].atom_index] > off
-            )
-            psi = [code.events[pos] for pos in idxs]
-            psi.append(new_event)
-        else:
-            psi = [new_event]
+        psi = neighborhood(code.events, starts, new_event, config.variant, lengths)
 
         if len(psi) == 1:
             # Unit-norm atom: the increment is the correlation itself.
@@ -611,7 +586,7 @@ def match(
 
         if on_step is not None:
             u0 = min(ev.offset for ev in psi)
-            u1 = max(_support_end(ev, lengths) for ev in psi)
+            u1 = max(ev.offset + lengths[ev.atom_index] for ev in psi)
             seg = residual[u0:u1]  # a view: holds the updated span afterwards
             r2_before = r2
             r2 -= float(np.dot(seg, seg))
@@ -699,9 +674,12 @@ def load_code(path, residual_path=None) -> SparseCode:
     """Read a sparse code written by save_code.
 
     A malformed file raises DataFormatError: a bad record, a negative atom
-    index or offset, a non-finite coefficient or residual sample, a header
-    value that does not parse, a window length below 1, or a residual of
-    the wrong length.
+    index or offset, an offset at or past the window length, a non-finite
+    coefficient or residual sample, a header value that does not parse, a
+    window length below 1, a p outside (0, 1), a sample rate below 1, an
+    unknown variant, or a residual of the wrong length. An event that
+    overruns the window by its atom's length needs the dictionary to see:
+    reconstruct() rejects it.
     """
     header: dict[str, str] = {}
     events: list[SparseEvent] = []
@@ -747,6 +725,15 @@ def load_code(path, residual_path=None) -> SparseCode:
         raise DataFormatError(f"bad header value in {path!r}: {exc}") from exc
     if window_len < 1:
         raise DataFormatError(f"missing or non-positive window_len in {path!r}")
+    if p is not None and not 0.0 < p < 1.0:
+        raise DataFormatError(f"bad p {p!r} in {path!r}: must lie in (0, 1)")
+    if sample_rate is not None and sample_rate <= 0:
+        raise DataFormatError(f"bad sample_rate {sample_rate} in {path!r}")
+    variant = header.get("variant", "mp")
+    if variant not in VARIANTS:
+        raise DataFormatError(f"unknown variant {variant!r} in {path!r}")
+    if any(ev.offset >= window_len for ev in events):
+        raise DataFormatError(f"event offset past window_len {window_len} in {path!r}")
     residual = None
     if residual_path is not None:
         residual = np.fromfile(residual_path, dtype="<f8")
@@ -758,7 +745,7 @@ def load_code(path, residual_path=None) -> SparseCode:
         events=events,
         residual=residual,
         window_len=window_len,
-        variant=header.get("variant", "mp"),
+        variant=variant,
         p=p,
         sample_rate=sample_rate,
         dict_digest=header.get("dict_digest") or None,

@@ -149,43 +149,42 @@ def synth_signal(
     return Signal(out, sample_rate)
 
 
+# Share of a block cross-faded from the previous residual's tail.
+OVERLAP_FRAC = 0.1
+
+
 @dataclass
 class BlockSource:
     """Serves fixed-length training blocks from random positions of a signal.
 
     Block starts are seeded-uniform; the sequence is a pure function of
-    (rng_seed, step). When carry_residual is set, callers pass the previous
+    (rng_seed, step) and has no end: the learner's budget decides how many
+    blocks are drawn. When carry_residual is set, callers pass the previous
     block's pursuit residual and the new block head is cross-faded with its
-    tail over ``overlap_frac`` of the block.
+    tail over OVERLAP_FRAC of the block.
     """
 
     source: Signal
     block_len: int
     rng_seed: int = 0
-    n_blocks: int | None = None
     carry_residual: bool = False
-    overlap_frac: float = 0.1
 
     def __post_init__(self) -> None:
         if self.block_len < 1:
             raise ValueError("block_len must be positive")
         if self.block_len > len(self.source):
             raise ValueError("block_len exceeds source length")
-        if not 0.0 <= self.overlap_frac < 1.0:
-            raise ValueError("overlap_frac must be in [0, 1)")
 
 
 def next_block(
     src: BlockSource, step: int, prev_residual: np.ndarray | None = None
-) -> Signal | None:
-    """Return training block ``step`` from the source, or None when exhausted."""
-    if src.n_blocks is not None and step >= src.n_blocks:
-        return None
+) -> Signal:
+    """Return training block ``step`` from the source."""
     rng = np.random.default_rng((src.rng_seed, step))
     start = int(rng.integers(0, len(src.source) - src.block_len + 1))
     block = src.source.samples[start : start + src.block_len].copy()
     if src.carry_residual and prev_residual is not None:
-        overlap = int(round(src.overlap_frac * src.block_len))
+        overlap = int(round(OVERLAP_FRAC * src.block_len))
         overlap = min(overlap, len(prev_residual))
         if overlap > 0:
             # Raised-cosine cross-fade from the previous residual tail into
@@ -236,7 +235,22 @@ def build_synth_signal(cfg: dict) -> tuple[Signal, list[np.ndarray]]:
     """Build a signal from a synthetic-source config dict.
 
     Returns the signal and the unit-norm hidden waveforms it was built
-    from (useful for recovery experiments). See README for the schema.
+    from (useful for recovery experiments). The config, which is also the
+    JSON file the CLI's --synth reads, has these keys:
+
+      length       signal samples (required)
+      sample_rate  Hz, default 16000
+      seed         default 0; seeds the atoms, placements and noise
+      noise_sigma  std of added white Gaussian noise, default 0
+      atoms        {"kind": "gaussian", "count": M, "length": L}: M Gaussian
+                   atoms of L samples (the default kind), or
+                   {"kind": "explicit", "waveforms": [[...], ...]};
+                   every atom is scaled to unit norm
+      placements   {"kind": "poisson", "rate": r, "amp_min": 0.5,
+                   "amp_max": 1.5}: per atom, Poisson(r * usable offsets)
+                   events at uniform offsets, with amplitudes uniform in
+                   [amp_min, amp_max] and a random sign (the default kind),
+                   or {"kind": "explicit", "events": [[atom, offset, amp], ...]}
     """
     try:
         length = int(cfg["length"])

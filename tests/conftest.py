@@ -16,7 +16,7 @@ def tiny_dict() -> Dictionary:
     for length in (5, 8, 8):
         w = rng.standard_normal(length)
         atoms.append(Atom(w / np.linalg.norm(w), pad_len=2))
-    return Dictionary(atoms=atoms, version=1, sample_rate_hint=8000, provenance="fixture")
+    return Dictionary(atoms=atoms, sample_rate_hint=8000, provenance="fixture")
 
 
 @pytest.fixture

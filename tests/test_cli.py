@@ -450,6 +450,36 @@ class TestExitCodes:
         )
         assert code == EXIT_DATA
 
+    @pytest.mark.parametrize(
+        "line", ["#p=nan", "#p=7", "#variant=zzz", "#sample_rate=-3", "0 600 0.5"]
+    )
+    def test_invalid_code_is_data_exit(self, tmp_path, dict_path, line):
+        bad = tmp_path / "bad.code"
+        header = "#format=empursuit-code\n#format_version=1\n#window_len=64\n"
+        bad.write_text(f"{header}{line}\n")
+        code = main(
+            [
+                "reconstruct", "--dict", dict_path, "--code", str(bad),
+                "--out", str(tmp_path / "x.wav"),
+            ]
+        )
+        assert code == EXIT_DATA
+
+    def test_non_unit_norm_dictionary_is_data_exit(self, tmp_path, synth_cfg):
+        doc = {
+            "format": "empursuit-dict", "format_version": 1, "m": 1,
+            "sample_rate_hint": 8000, "pad_len": 10, "provenance": "",
+            "atoms": [[2.0, 0.0]],
+        }
+        code = main(
+            [
+                "encode", "--synth", synth_cfg,
+                "--dict", write_json(tmp_path / "d.json", doc),
+                "--out", str(tmp_path / "x.code"),
+            ]
+        )
+        assert code == EXIT_DATA
+
     def test_degenerate_noise_scaling_is_numeric_exit(
         self, tmp_path, zero_cfg, dict_path
     ):

@@ -184,5 +184,22 @@ class TestSerialization:
         with pytest.raises(DataFormatError):
             load_dict(path)
 
+    def test_digest_is_pinned(self):
+        """The digest hashes the file format version, M and the samples."""
+        assert dict_digest(randdict(4, seed=1)) == (
+            "44bb6b07873d64bb4da2145087c0d888d1f4d8ba29f801375f6609c6a877767b"
+        )
+
+    @pytest.mark.parametrize("scale", [0.0, 0.5, 2.0, 1.0 + 1e-6])
+    def test_non_unit_norm_atom_rejected(self, tmp_path, scale):
+        d = randdict(3, seed=0)
+        path = tmp_path / "d.json"
+        save_dict(d, path)
+        doc = json.loads(path.read_text())
+        doc["atoms"][2] = [scale * v for v in doc["atoms"][2]]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataFormatError, match="atom 2 .* not unit norm"):
+            load_dict(path)
+
     def test_digest_distinguishes(self):
         assert dict_digest(randdict(3, seed=0)) != dict_digest(randdict(3, seed=1))

@@ -12,12 +12,11 @@ from hypothesis import strategies as st
 
 from empursuit.dictionary import Atom, Dictionary, randdict
 from empursuit.metrics import (
-    EventStats,
     clamp_db,
     coeff_entropy,
+    coeff_histogram,
     denoise_sweep,
     event_rates,
-    event_stats,
     index_entropy,
     p_sweep,
     profile_dictionary,
@@ -88,8 +87,6 @@ class TestIndexEntropy:
             index_entropy(code, m=4)
         with pytest.raises(ValueError, match="atom -1"):
             event_rates(code, sample_rate=8000, m=4)
-        with pytest.raises(ValueError, match="atom -1"):
-            event_stats(code, sample_rate=8000, m=4)
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.integers(0, 5), min_size=1, max_size=40))
@@ -199,39 +196,49 @@ class TestRatesTable:
 
 
 class TestEventStats:
+    """index_entropy, coeff_histogram/coeff_entropy and event_rates together."""
+
     def test_consistent_with_individual_analyses(self):
         code = code_of([0, 0, 1, 2, 2, 2], [0.5, 1.5, -2.0, 0.25, 3.0, 1.0])
-        stats = event_stats(code, sample_rate=8000, m=4)
-        assert isinstance(stats, EventStats)
-        np.testing.assert_array_equal(stats.counts, [2, 1, 3, 0])
-        np.testing.assert_allclose(
-            stats.rates, event_rates(code, sample_rate=8000, m=4)
-        )
-        assert stats.index_entropy_bits == index_entropy(code, m=4)
-        assert set(stats.coeff_histograms) == {16, 32, 64}
+        # One second of signal: rates are the per-atom counts.
+        rates = event_rates(code, sample_rate=1000, m=4)
+        np.testing.assert_array_equal(rates, [2, 1, 3, 0])
+        p_index = rates / rates.sum()
+        expected = -sum(q * math.log2(q) for q in p_index if q > 0)
+        assert index_entropy(code, m=4) == pytest.approx(expected, abs=1e-12)
         for bins in (16, 32, 64):
-            hist = stats.coeff_histograms[bins]
+            hist = coeff_histogram(code, bins)
+            assert len(hist) == bins
             assert hist.sum() == 6
-            assert stats.coeff_entropy_bits[bins] == coeff_entropy(code, bins)
+            p = hist[hist > 0] / 6
+            bits = float(-(p * np.log2(p)).sum())
+            assert coeff_entropy(code, bins) == pytest.approx(bits, abs=1e-12)
 
     def test_probabilities_normalize(self):
         code = code_of([0, 1, 1, 3], [0.1, 0.7, -0.4, 2.0])
-        stats = event_stats(code, sample_rate=8000, m=4)
-        assert abs(stats.counts.sum() / stats.counts.sum() - 1.0) <= 1e-12
-        p_index = stats.counts / stats.counts.sum()
+        counts = event_rates(code, sample_rate=1000, m=4)
+        np.testing.assert_array_equal(counts, [1, 2, 0, 1])
+        p_index = counts / counts.sum()
         assert abs(p_index.sum() - 1.0) <= 1e-12
-        for hist in stats.coeff_histograms.values():
+        for bins in (16, 32, 64):
+            hist = coeff_histogram(code, bins)
             assert abs(hist / hist.sum()).sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_degenerate_coefficients_give_zero_entropy(self):
-        stats = event_stats(code_of([0, 1], [1.0, 1.0]), sample_rate=8000, m=2)
+        code = code_of([0, 1], [1.0, 1.0])
         for bins in (16, 32, 64):
-            assert stats.coeff_entropy_bits[bins] == 0.0
-            assert stats.coeff_histograms[bins][0] == 2
+            assert coeff_entropy(code, bins) == 0.0
+            assert math.copysign(1.0, coeff_entropy(code, bins)) == 1.0  # not -0.0
+            assert coeff_histogram(code, bins)[0] == 2
 
     def test_empty_stream_rejected(self):
         with pytest.raises(ValueError):
-            event_stats(code_of([]), sample_rate=8000, m=4)
+            index_entropy(code_of([]), m=4)
+        for bins in (16, 32, 64):
+            with pytest.raises(ValueError):
+                coeff_histogram(code_of([]), bins)
+            with pytest.raises(ValueError):
+                coeff_entropy(code_of([]), bins)
 
 
 class TestVariantEntropyOrdering:

@@ -407,12 +407,18 @@ class TestSelectionFloor:
         assert np.linalg.norm(code.residual) <= 1e-12
 
 
+def start_index(events: list[SparseEvent]) -> list[tuple[int, int]]:
+    """neighborhood()'s index as match() keeps it: sorted (offset, position)."""
+    return sorted((ev.offset, k) for k, ev in enumerate(events))
+
+
 class TestNeighborhood:
     def test_plain_variants_use_new_event_only(self):
         prior = [SparseEvent(0, 0, 1.0), SparseEvent(1, 3, 1.0)]
+        starts = start_index(prior)
         new = SparseEvent(0, 2, 0.0)
-        assert neighborhood(prior, new, "mp", [5, 5]) == [new]
-        assert neighborhood(prior, new, "emp", [5, 5]) == [new]
+        assert neighborhood(prior, starts, new, "mp", [5, 5]) == [new]
+        assert neighborhood(prior, starts, new, "emp", [5, 5]) == [new]
 
     def test_local_variants_take_overlapping_priors(self):
         lengths = [5, 5]
@@ -422,13 +428,13 @@ class TestNeighborhood:
             SparseEvent(1, 6, 1.0),  # support [6, 11) overlaps
         ]
         new = SparseEvent(0, 4, 0.0)
-        psi = neighborhood(prior, new, "omp", lengths)
+        psi = neighborhood(prior, start_index(prior), new, "omp", lengths)
         assert psi == [prior[0], prior[2], new]
 
     def test_adjacent_supports_do_not_overlap(self):
         prior = [SparseEvent(0, 0, 1.0)]
         new = SparseEvent(0, 5, 0.0)
-        assert neighborhood(prior, new, "eomp", [5]) == [new]
+        assert neighborhood(prior, start_index(prior), new, "eomp", [5]) == [new]
 
 
 class TestSolveNeighborhood:
@@ -546,7 +552,7 @@ class TestCorrelationTable:
             for j, w in enumerate(waveforms)
         )
         assert val == pytest.approx(flat_best[0], rel=1e-12)
-        assert abs(table.value(i, off)) == pytest.approx(val, rel=1e-12)
+        assert abs(table.T[off, i]) == pytest.approx(val, rel=1e-12)
 
     def test_deactivate_excludes_atom_and_keeps_others_fresh(self):
         rng = np.random.default_rng(3013)
@@ -852,6 +858,18 @@ class TestMatchValidation:
         match(tiny_dict, noise_signal, PursuitConfig(variant="mp", p=0.1))
         np.testing.assert_array_equal(noise_signal, before)
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_non_unit_norm_atom_rejected(self, tiny_dict, noise_signal, variant):
+        """A lone event's coefficient is its correlation only for unit norm."""
+        cfg = PursuitConfig(variant=variant, p=0.1)
+        atoms = [Atom(a.waveform, pad_len=a.pad_len) for a in tiny_dict.atoms]
+        atoms[1] = Atom(2.0 * atoms[1].waveform)
+        with pytest.raises(ValueError, match="atom 1 is not unit norm"):
+            match(Dictionary(atoms), noise_signal, cfg)
+        # Round-off well inside the tolerance is accepted.
+        atoms[1] = Atom(tiny_dict.atoms[1].waveform * (1.0 + 1e-12))
+        assert match(Dictionary(atoms), noise_signal, cfg).events
+
 
 class TestCodeSerialization:
     def test_round_trip_with_residual(self, tiny_dict, noise_signal, tmp_path):
@@ -958,3 +976,34 @@ class TestCodeSerialization:
         np.zeros(5).astype("<f8").tofile(rpath)
         with pytest.raises(DataFormatError, match="length"):
             load_code(cpath, residual_path=rpath)
+
+    @pytest.mark.parametrize("p", ["nan", "inf", "0", "1", "7", "-0.5"])
+    def test_p_outside_unit_interval_rejected(self, tmp_path, p):
+        path = tmp_path / "p.code"
+        header = "#format=empursuit-code\n#format_version=1\n#window_len=64\n"
+        path.write_text(f"{header}#p={p}\n0 5 0.5\n")
+        with pytest.raises(DataFormatError, match="bad p"):
+            load_code(path)
+
+    @pytest.mark.parametrize("rate", ["0", "-3"])
+    def test_non_positive_sample_rate_rejected(self, tmp_path, rate):
+        path = tmp_path / "sr.code"
+        header = "#format=empursuit-code\n#format_version=1\n#window_len=64\n"
+        path.write_text(f"{header}#sample_rate={rate}\n0 5 0.5\n")
+        with pytest.raises(DataFormatError, match="sample_rate"):
+            load_code(path)
+
+    def test_unknown_variant_rejected(self, tmp_path):
+        path = tmp_path / "v.code"
+        header = "#format=empursuit-code\n#format_version=1\n#window_len=64\n"
+        path.write_text(f"{header}#variant=zzz\n0 5 0.5\n")
+        with pytest.raises(DataFormatError, match="variant"):
+            load_code(path)
+
+    @pytest.mark.parametrize("offset", [64, 600])
+    def test_offset_past_window_rejected(self, tmp_path, offset):
+        path = tmp_path / "o.code"
+        header = "#format=empursuit-code\n#format_version=1\n#window_len=64\n"
+        path.write_text(f"{header}0 63 0.5\n0 {offset} 0.5\n")
+        with pytest.raises(DataFormatError, match="offset past window_len"):
+            load_code(path)

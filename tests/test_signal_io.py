@@ -153,21 +153,15 @@ class TestSynthSignal:
 
 
 class TestBlockSource:
-    def test_budget_zero_is_immediately_empty(self):
-        sig = Signal(np.ones(100), 8000)
-        src = BlockSource(source=sig, block_len=10, rng_seed=0, n_blocks=0)
-        assert next_block(src, 0) is None
-
     def test_deterministic_sequence(self):
         rng = np.random.default_rng(5)
         sig = Signal(rng.standard_normal(1000), 8000)
-        src_a = BlockSource(source=sig, block_len=64, rng_seed=7, n_blocks=10)
-        src_b = BlockSource(source=sig, block_len=64, rng_seed=7, n_blocks=10)
+        src_a = BlockSource(source=sig, block_len=64, rng_seed=7)
+        src_b = BlockSource(source=sig, block_len=64, rng_seed=7)
         for step in range(10):
             a = next_block(src_a, step)
             b = next_block(src_b, step)
             assert np.array_equal(a.samples, b.samples)
-        assert next_block(src_a, 10) is None
 
     def test_five_second_blocks_at_44100(self):
         sig = Signal(np.zeros(44100 * 6), 44100)
@@ -184,7 +178,7 @@ class TestBlockSource:
         rng = np.random.default_rng(6)
         sig = Signal(rng.standard_normal(500), 8000)
         src = BlockSource(
-            source=sig, block_len=100, rng_seed=3, carry_residual=True, overlap_frac=0.1
+            source=sig, block_len=100, rng_seed=3, carry_residual=True
         )
         prev = rng.standard_normal(100)
         plain = next_block(
