@@ -78,23 +78,30 @@ def _load_input(args) -> Signal:
     return load_wav(args.input)
 
 
+def _blas_version(show_config) -> str:
+    """Name and version of the BLAS that numpy's or scipy's build links."""
+    try:
+        blas = show_config(mode="dicts")["Build Dependencies"]["blas"]
+        return f"{blas.get('name')} {blas.get('version')}"
+    except (TypeError, KeyError):
+        return "unknown"
+
+
 @functools.cache
 def _environment() -> dict:
     """Package, numpy, scipy and BLAS versions, BLAS thread settings and CPU.
 
-    Timings depend on the BLAS the correlation updates run on, so every
-    run records it. The result is constant for a process.
+    Timings depend on the BLAS the pursuit runs on, so every run records
+    it: ``blas`` is numpy's (the table build and the Gram matrices),
+    ``scipy_blas`` is scipy's own (the table updates, residual updates and
+    neighbourhood solves). The result is constant for a process.
     """
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-        blas_version = f"{blas.get('name')} {blas.get('version')}"
-    except (TypeError, KeyError):
-        blas_version = "unknown"
     return {
         "empursuit": __version__,
         "numpy": np.__version__,
         "scipy": scipy.__version__,
-        "blas": blas_version,
+        "blas": _blas_version(np.show_config),
+        "scipy_blas": _blas_version(scipy.show_config),
         "threads": {
             var: os.environ.get(var)
             for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

@@ -159,10 +159,13 @@ def dlearn(
     """Alternate pursuit and atom updates over the block stream.
 
     Deterministic given (cfg.seed, source.rng_seed). Stops at the block
-    budget or the wall-clock budget, whichever comes first, and runs on
-    while neither is set. With a zero budget the random initial dictionary
-    is returned. Returns the dictionary and one record per block.
+    budget or the wall-clock budget, whichever comes first; raises
+    ValueError if neither is set, since the block stream has no end. With
+    a zero block budget the random initial dictionary is returned.
+    Returns the dictionary and one record per block.
     """
+    if cfg.n_blocks is None and cfg.time_budget_s is None:
+        raise ValueError("set n_blocks or time_budget_s: the block stream has no end")
     sr = source.source.sample_rate
     if start_dictionary is not None:
         dictionary = start_dictionary

@@ -52,7 +52,8 @@ def _entropy_bits(counts: np.ndarray) -> float:
     if total <= 0:
         raise ValueError("entropy of an empty event stream is undefined")
     p = counts[counts > 0] / total
-    return float(-(p * np.log2(p)).sum())
+    # 0.0 - s rather than -s: one atom alone gives +0.0 bits, not -0.0.
+    return float(0.0 - (p * np.log2(p)).sum())
 
 
 def _all_events(codes: list[SparseCode] | SparseCode):

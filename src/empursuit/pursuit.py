@@ -29,19 +29,32 @@ deactivated in the table, which is the only place the quota is enforced:
 it leaves the index lazily, block by block, so select() searches the live
 atoms alone without a pass over the table. The winner's coefficient is
 recomputed from the residual, so it carries no round-off from the table.
+
+The table update (daxpy) and the neighbourhood solve (dposv) call scipy's
+f2py modules scipy.linalg._fblas and scipy.linalg._flapack, the modules
+that scipy.linalg.blas and scipy.linalg.lapack re-export. They are loaded
+from their files, after a plain ``import scipy`` has set up scipy's bundled
+OpenBLAS, because importing scipy.linalg itself pulls in scipy's array-API
+layer (with numpy.f2py, numpy.testing and numpy.ma): about 0.3 s and 22 MB
+of every CLI process, which mostly runs one short pursuit. If a scipy
+release moves or renames either file, importing this module raises
+ImportError naming that scipy version.
 """
 
 from __future__ import annotations
 
 import bisect
+import importlib.machinery
+import importlib.util
 import json
 import math
+import os
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import blas as _blas
-from scipy.linalg import lapack as _lapack
+import scipy
 
 from .dictionary import Dictionary, _non_unit_atom, dict_digest
 from .errors import DataFormatError
@@ -64,6 +77,27 @@ __all__ = [
     "save_code",
     "load_code",
 ]
+
+
+def _scipy_linalg_extension(name: str):
+    """Module scipy.linalg.<name>, loaded without scipy.linalg's package init."""
+    qualname = f"scipy.linalg.{name}"
+    if qualname in sys.modules:
+        return sys.modules[qualname]
+    stem = os.path.join(os.path.dirname(scipy.__file__), "linalg", name)
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        if os.path.exists(stem + suffix):
+            loader = importlib.machinery.ExtensionFileLoader(qualname, stem + suffix)
+            spec = importlib.util.spec_from_loader(qualname, loader)
+            module = importlib.util.module_from_spec(spec)
+            loader.exec_module(module)
+            sys.modules[qualname] = module
+            return module
+    raise ImportError(f"scipy {scipy.__version__} has no extension module {qualname}")
+
+
+_blas = _scipy_linalg_extension("_fblas")
+_lapack = _scipy_linalg_extension("_flapack")
 
 VARIANTS = ("mp", "omp", "emp", "eomp")
 _EQUIPROBABLE = frozenset(("emp", "eomp"))

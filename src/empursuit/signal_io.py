@@ -7,12 +7,11 @@ correlation and least-squares accuracy dominates any storage concern.
 from __future__ import annotations
 
 import math
-import wave
+import struct
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.io import wavfile
 
 from .errors import DataFormatError, DegenerateSignalError
 
@@ -60,62 +59,122 @@ def _as_samples(x: Signal | np.ndarray | Sequence[float]) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 
 
-def load_wav(path) -> Signal:
-    """Load a PCM 16/24-bit or 32-bit float WAV file as a mono Signal.
+# WAVE format tags: integer PCM, IEEE float, and the extensible header whose
+# subformat GUID carries one of the two in its first four bytes.
+_PCM, _FLOAT, _EXTENSIBLE = 1, 3, 0xFFFE
+_GUID_TAIL = {
+    "<": bytes.fromhex("00 00 10 00 80 00 00 aa 00 38 9b 71"),
+    ">": bytes.fromhex("00 00 00 10 80 00 00 aa 00 38 9b 71"),
+}
+# Full scale per PCM container width in bytes. 24-bit samples are read
+# left-justified into 32 bits, so 24- and 32-bit files share one scale.
+_PCM_SCALE = {2: 32768.0, 3: 2147483648.0, 4: 2147483648.0}
 
-    Multi-channel input is downmixed by channel averaging. Samples are
-    scaled to [-1, 1] using the full-scale convention of the bit depth
-    (e.g. 16-bit sample 32767 maps to 32767/32768).
+
+def _read_wav(buf: bytes) -> tuple[int, np.ndarray, int]:
+    """Sample rate, interleaved float64 samples and channel count of a WAV image."""
+    if len(buf) < 12 or buf[:4] not in (b"RIFF", b"RIFX") or buf[8:12] != b"WAVE":
+        raise ValueError("not a RIFF/RIFX WAVE file")
+    order = "<" if buf[:4] == b"RIFF" else ">"
+    fmt = None
+    pos = 12
+    while pos + 8 <= len(buf):
+        chunk_id = buf[pos : pos + 4]
+        (size,) = struct.unpack_from(order + "I", buf, pos + 4)
+        body = buf[pos + 8 : pos + 8 + size]
+        pos += 8 + size + size % 2  # a chunk of odd size is followed by a pad byte
+        if chunk_id == b"fmt ":
+            if len(body) < 16:
+                raise ValueError("fmt chunk shorter than 16 bytes")
+            fmt = struct.unpack_from(order + "HHIIHH", body)
+            if fmt[0] == _EXTENSIBLE and body[28:40] == _GUID_TAIL[order]:
+                fmt = struct.unpack_from(order + "I", body, 24) + fmt[1:]
+        elif chunk_id == b"data":
+            if fmt is None:
+                raise ValueError("data chunk before fmt chunk")
+            break
+    else:
+        raise ValueError("no data chunk" if fmt else "no fmt chunk")
+
+    tag, channels, rate, _, block_align, bits = fmt
+    width = block_align // channels if channels else 0
+    n = len(body) // block_align * channels if width else 0
+    if tag == _PCM and bits > 8 and width in _PCM_SCALE:
+        if width == 3:
+            wide = np.zeros((n, 4), np.uint8)
+            lo = 1 if order == "<" else 0
+            wide[:, lo : lo + 3] = np.frombuffer(body, np.uint8, 3 * n).reshape(n, 3)
+            data = wide.view(order + "i4")[:, 0]
+        else:
+            data = np.frombuffer(body, f"{order}i{width}", n)
+        samples = data.astype(np.float64) / _PCM_SCALE[width]
+    elif tag == _FLOAT and bits in (32, 64) and width == bits // 8:
+        samples = np.frombuffer(body, f"{order}f{width}", n).astype(np.float64)
+    else:
+        raise ValueError(
+            f"unsupported encoding: format tag {tag:#06x}, {bits} bits, "
+            f"{channels} channels; expected PCM16, PCM24, PCM32, float32 or float64"
+        )
+    return rate, samples, channels
+
+
+def load_wav(path) -> Signal:
+    """Load a WAV file as a mono Signal.
+
+    Accepted: integer PCM in 16-, 24- or 32-bit containers and IEEE float32
+    or float64; any number of channels; a plain or WAVE_FORMAT_EXTENSIBLE
+    fmt chunk; little-endian (RIFF) or big-endian (RIFX) files. Chunks
+    other than fmt and data are skipped. 8-bit PCM, compressed formats and
+    RF64 raise DataFormatError. Multi-channel input is downmixed by channel
+    averaging. PCM samples are scaled by the full scale of their container
+    (16-bit sample 32767 maps to 32767/32768); float samples are kept as
+    they are.
     """
     try:
-        rate, data = wavfile.read(path)
+        with open(path, "rb") as fh:
+            rate, samples, channels = _read_wav(fh.read())
     except FileNotFoundError:
         raise
-    except Exception as exc:
+    except (OSError, ValueError) as exc:
         raise DataFormatError(f"cannot read WAV file {path!r}: {exc}") from exc
-    if data.size == 0:
+    if samples.size == 0:
         raise DataFormatError(f"WAV file {path!r} contains no audio")
-
-    if data.dtype == np.int16:
-        samples = data.astype(np.float64) / 32768.0
-    elif data.dtype == np.int32:
-        # 24-bit PCM arrives left-justified in int32, so one scale covers both.
-        samples = data.astype(np.float64) / 2147483648.0
-    elif data.dtype in (np.float32, np.float64):
-        samples = data.astype(np.float64)
-    else:
-        raise DataFormatError(
-            f"unsupported WAV encoding {data.dtype} in {path!r}; "
-            "expected PCM16, PCM24/32, or float32"
-        )
-    if samples.ndim == 2:
-        samples = samples.mean(axis=1)
-    return Signal(samples, int(rate))
+    if channels > 1:
+        samples = samples.reshape(-1, channels).mean(axis=1)
+    return Signal(samples, rate)
 
 
 def save_wav(sig: Signal, path, encoding: str = "float32") -> None:
-    """Write a Signal to a WAV file.
+    """Write a Signal to a mono WAV file.
 
-    encoding: one of "pcm16", "pcm24", "float32". PCM encodings clip to
-    the representable range and round to the nearest code.
+    encoding: "float32" (IEEE float, with the cbSize field and fact chunk
+    that float files carry), "pcm16" or "pcm24". PCM encodings clip to the
+    representable range and round to the nearest code.
     """
     x = sig.samples
     if encoding == "float32":
-        wavfile.write(path, sig.sample_rate, x.astype(np.float32))
+        tag, data = _FLOAT, x.astype("<f4").tobytes()
     elif encoding == "pcm16":
-        q = np.clip(np.rint(x * 32768.0), -32768, 32767).astype(np.int16)
-        wavfile.write(path, sig.sample_rate, q)
+        q = np.clip(np.rint(x * 32768.0), -32768, 32767)
+        tag, data = _PCM, q.astype("<i2").tobytes()
     elif encoding == "pcm24":
-        q = np.clip(np.rint(x * 8388608.0), -8388608, 8388607).astype(np.int32)
-        raw = q.astype("<i4").tobytes()
-        frames = b"".join(raw[i : i + 3] for i in range(0, len(raw), 4))
-        with wave.open(str(path), "wb") as fh:
-            fh.setnchannels(1)
-            fh.setsampwidth(3)
-            fh.setframerate(sig.sample_rate)
-            fh.writeframes(frames)
+        q = np.clip(np.rint(x * 8388608.0), -8388608, 8388607).astype("<i4")
+        tag, data = _PCM, q.view(np.uint8).reshape(-1, 4)[:, :3].tobytes()
     else:
         raise ValueError(f"unknown encoding {encoding!r}")
+    width = len(data) // len(x)
+    rate = sig.sample_rate
+    fmt = struct.pack("<HHIIHH", tag, 1, rate, rate * width, width, 8 * width)
+    fact = b""
+    if tag == _FLOAT:
+        fmt += b"\x00\x00"
+        fact = b"fact" + struct.pack("<II", 4, len(x))
+    chunks = b"fmt " + struct.pack("<I", len(fmt)) + fmt + fact
+    chunks += b"data" + struct.pack("<I", len(data))
+    with open(path, "wb") as fh:
+        fh.write(b"RIFF" + struct.pack("<I", 4 + len(chunks) + len(data)) + b"WAVE")
+        fh.write(chunks)
+        fh.write(data)
 
 
 def synth_signal(

@@ -6,6 +6,9 @@ import csv
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -313,6 +316,19 @@ class TestEvalCommand:
         assert len(rows) == 16 + 32 + 64
         assert "coeff_entropy_16" in header and "index_entropy_bits" in header
 
+    def test_single_atom_index_entropy_prints_positive_zero(
+        self, tmp_path, synth_cfg, dict_path
+    ):
+        out = str(tmp_path / "hist.csv")
+        flags = [
+            "eval", "--synth", synth_cfg, "--dict", dict_path,
+            "--analysis", "histograms", "--variant", "mp", "--iters", "1",
+            "--out", out,
+        ]
+        assert main(flags) == EXIT_OK
+        header, _, _ = read_table(out)
+        assert header["index_entropy_bits"] == "0.000000"
+
     def test_denoise_table(self, tmp_path, synth_cfg, dict_path):
         out = str(tmp_path / "denoise.csv")
         assert (
@@ -400,6 +416,8 @@ class TestRunConfigEmission:
         assert env["numpy"] == np.__version__
         assert env["scipy"] == scipy.__version__
         assert env["blas"] and env["cpu_model"]
+        scipy_blas = scipy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert env["scipy_blas"] == f"{scipy_blas['name']} {scipy_blas['version']}"
         assert set(env["threads"]) == {
             "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
         }
@@ -494,3 +512,24 @@ class TestExitCodes:
     def test_unknown_command_is_usage_exit(self, capsys):
         assert main(["frobnicate"]) == EXIT_USAGE
         capsys.readouterr()
+
+
+class TestStartup:
+    def test_cli_import_skips_scipy_array_api_layer(self):
+        # Importing scipy.linalg or scipy.io runs scipy's array-API layer,
+        # about 0.3 s and 22 MB of every CLI process.
+        layer = [
+            "scipy.linalg", "scipy.io", "scipy._lib._array_api", "numpy.f2py",
+            "numpy.testing",
+        ]
+        src = os.path.dirname(os.path.dirname(empursuit.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = (
+            "import sys, empursuit.cli; "
+            f"print(sorted(set({layer!r}) & set(sys.modules)))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+            capture_output=True, text=True, check=True,
+        ).stdout
+        assert out.strip() == "[]"

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from empursuit import learner
 from empursuit.dictionary import Atom, Dictionary, load_dict, randdict
 from empursuit.errors import ZeroAtomError
 from empursuit.learner import (
@@ -321,6 +322,17 @@ class TestDlearn:
         cfg = LearnConfig(m=2, n_blocks=0, seed=0)
         d, _ = dlearn(src, cfg, start_dictionary=start)
         assert d is start
+
+    def test_no_budget_is_rejected_before_the_first_block(self, monkeypatch):
+        src = training_source(9)
+        cfg = LearnConfig(m=2, p=0.04)
+
+        def no_block(*args):
+            raise AssertionError("a block was drawn")
+
+        monkeypatch.setattr(learner, "next_block", no_block)
+        with pytest.raises(ValueError, match="n_blocks or time_budget_s"):
+            dlearn(src, cfg)
 
     def test_time_budget_stops_learning(self):
         src = training_source(8)

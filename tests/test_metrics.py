@@ -56,6 +56,9 @@ class TestIndexEntropy:
     def test_all_events_on_one_atom_is_zero_bits(self):
         assert index_entropy(code_of([2] * 9), m=4) == 0.0
 
+    def test_all_events_on_one_atom_is_positive_zero(self):
+        assert math.copysign(1.0, index_entropy(code_of([2] * 9), m=4)) == 1.0
+
     def test_three_one_split(self):
         expected = -(0.75 * math.log2(0.75) + 0.25 * math.log2(0.25))
         assert index_entropy(code_of([0, 0, 0, 1]), m=2) == pytest.approx(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -77,6 +79,24 @@ def assert_index_bounds(table: CorrelationTable) -> None:
         t, i = divmod(int(table.Bp[b]), m)
         assert table.Bm[b] == blk[t, i]
         assert blk[:, table.live].max(initial=-np.inf) <= table.Bm[b] <= blk.max()
+
+
+class TestLinalgModules:
+    def test_blas_and_lapack_are_scipys_own_modules(self):
+        code = (
+            "import scipy.linalg as la; "
+            "print(la._fblas.__file__); print(la._flapack.__file__)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        ).stdout.split("\n")
+        assert [pursuit._blas.__file__, pursuit._lapack.__file__] == out[:2]
+
+    def test_routines_are_the_ones_scipy_linalg_exports(self):
+        import scipy.linalg
+
+        assert pursuit._blas.daxpy is scipy.linalg.blas.daxpy
+        assert pursuit._lapack.dposv is scipy.linalg.lapack.dposv
 
 
 class TestPursuitConfig:

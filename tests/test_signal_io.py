@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.io import wavfile
 
 from empursuit.errors import DataFormatError, DegenerateSignalError
 from empursuit.signal_io import (
@@ -113,6 +115,175 @@ class TestWavIO:
     def test_garbage_file_rejected(self, tmp_path):
         path = tmp_path / "junk.wav"
         path.write_bytes(b"this is not audio")
+        with pytest.raises(DataFormatError):
+            load_wav(path)
+
+
+def wav_image(chunks: list[tuple[bytes, bytes]], order: str = "<") -> bytes:
+    """A RIFF (or, big-endian, RIFX) WAVE file of (id, body) chunks, padded."""
+    body = b"WAVE"
+    for chunk_id, data in chunks:
+        body += chunk_id + struct.pack(order + "I", len(data)) + data
+        body += b"\x00" * (len(data) % 2)
+    magic = b"RIFF" if order == "<" else b"RIFX"
+    return magic + struct.pack(order + "I", len(body)) + body
+
+
+def fmt_chunk(tag, channels, width, bits, order="<", rate=8000, ext=b""):
+    data = struct.pack(
+        order + "HHIIHH", tag, channels, rate, rate * channels * width,
+        channels * width, bits,
+    )
+    return (b"fmt ", data + ext)
+
+
+def pcm24_bytes(q: np.ndarray, order: str = "<") -> bytes:
+    """Interleaved 3-byte samples of int32 values in the 24-bit range."""
+    raw = q.astype(order + "i4").view(np.uint8).reshape(-1, 4)
+    return (raw[:, :3] if order == "<" else raw[:, 1:]).tobytes()
+
+
+def extensible(subformat: int, valid_bits: int, order: str = "<") -> bytes:
+    """cbSize, valid bits, channel mask and subformat GUID of an extensible fmt."""
+    # The GUID's first three fields follow the file's byte order.
+    guid = struct.pack(order + "IHH", subformat, 0, 0x10) + bytes.fromhex(
+        "80 00 00 aa 00 38 9b 71"
+    )
+    return struct.pack(order + "HHI", 22, valid_bits, 3) + guid
+
+
+def scipy_samples(path) -> tuple[int, np.ndarray]:
+    """What load_wav returned when it decoded through scipy.io.wavfile."""
+    rate, data = wavfile.read(path)
+    if data.dtype.kind == "f":
+        samples = data.astype(np.float64)
+    else:  # 24-bit arrives left-justified in int32
+        samples = data.astype(np.float64) / 2.0 ** (8 * data.dtype.itemsize - 1)
+    return rate, samples.mean(axis=1) if samples.ndim == 2 else samples
+
+
+class TestWavScipyCompatibility:
+    @pytest.mark.parametrize(
+        "dtype, channels",
+        [
+            ("int16", 1), ("int32", 1), ("float32", 1), ("float64", 1),
+            ("int16", 2), ("float32", 3),
+        ],
+    )
+    def test_files_scipy_writes_load_as_before(self, tmp_path, dtype, channels):
+        rng = np.random.default_rng(20)
+        if np.dtype(dtype).kind == "f":
+            data = rng.uniform(-1, 1, (301, channels)).astype(dtype)
+        else:
+            info = np.iinfo(dtype)
+            data = rng.integers(info.min, info.max, (301, channels), endpoint=True)
+            data = data.astype(dtype)
+        path = tmp_path / "x.wav"
+        wavfile.write(path, 22050, data[:, 0] if channels == 1 else data)
+        rate, expected = scipy_samples(path)
+        sig = load_wav(path)
+        assert sig.sample_rate == rate == 22050
+        np.testing.assert_array_equal(sig.samples, expected)
+
+    @pytest.mark.parametrize(
+        "name, chunks",
+        [
+            (
+                "24-bit stereo",
+                [
+                    fmt_chunk(1, 2, 3, 24),
+                    (b"data", pcm24_bytes(np.arange(-300, 300) * 13_001)),
+                ],
+            ),
+            (
+                "extensible 16-bit stereo",
+                [
+                    fmt_chunk(0xFFFE, 2, 2, 16, ext=extensible(1, 16)),
+                    (b"data", (np.arange(-200, 200) * 97).astype("<i2").tobytes()),
+                ],
+            ),
+            (
+                "extensible float32",
+                [
+                    fmt_chunk(0xFFFE, 1, 4, 32, ext=extensible(3, 32)),
+                    (b"data", np.linspace(-1, 1, 99).astype("<f4").tobytes()),
+                ],
+            ),
+            (
+                "odd-size LIST chunk before data",
+                [
+                    fmt_chunk(1, 1, 2, 16),
+                    (b"LIST", b"INFOodd"),
+                    (b"data", (np.arange(-50, 50) * 311).astype("<i2").tobytes()),
+                ],
+            ),
+            (
+                "odd-size 24-bit data before a LIST chunk",
+                [
+                    fmt_chunk(1, 1, 3, 24),
+                    (b"data", pcm24_bytes(np.arange(-7, 8) * 500_001)),
+                    (b"LIST", b"INFO"),
+                ],
+            ),
+        ],
+    )
+    def test_other_layouts_load_as_scipy_reads_them(self, tmp_path, name, chunks):
+        path = tmp_path / "x.wav"
+        path.write_bytes(wav_image(chunks))
+        rate, expected = scipy_samples(path)
+        sig = load_wav(path)
+        assert sig.sample_rate == rate
+        np.testing.assert_array_equal(sig.samples, expected)
+
+    @pytest.mark.parametrize("tag", [1, 0xFFFE])
+    def test_big_endian_rifx_loads_like_riff(self, tmp_path, tag):
+        q = np.arange(-300, 300) * 13_001
+        loaded = []
+        for order in "<>":
+            path = tmp_path / f"{'riff' if order == '<' else 'rifx'}.wav"
+            ext = extensible(1, 24, order) if tag == 0xFFFE else b""
+            chunks = [
+                fmt_chunk(tag, 2, 3, 24, order, ext=ext),
+                (b"data", pcm24_bytes(q, order)),
+            ]
+            path.write_bytes(wav_image(chunks, order))
+            loaded.append(load_wav(path).samples)
+            np.testing.assert_array_equal(loaded[-1], scipy_samples(path)[1])
+        np.testing.assert_array_equal(loaded[0], loaded[1])
+
+    @pytest.mark.parametrize("encoding", ["float32", "pcm16", "pcm24"])
+    def test_save_wav_reads_back_in_scipy(self, tmp_path, encoding):
+        rng = np.random.default_rng(21)
+        x = rng.uniform(-1.1, 1.1, 1001)
+        path = tmp_path / "x.wav"
+        save_wav(Signal(x, 12000), path, encoding=encoding)
+        rate, data = wavfile.read(path)
+        assert rate == 12000
+        if encoding == "float32":
+            expected = x.astype(np.float32)
+        elif encoding == "pcm16":
+            expected = np.clip(np.rint(x * 32768), -32768, 32767).astype(np.int16)
+        else:  # scipy returns 24-bit samples left-justified in int32
+            q = np.clip(np.rint(x * 8388608), -8388608, 8388607).astype(np.int32)
+            expected = q << 8
+        assert data.dtype == expected.dtype
+        np.testing.assert_array_equal(data, expected)
+
+    @pytest.mark.parametrize(
+        "image",
+        [
+            pytest.param(b"RIFF\x24\x00\x00\x00WAVEfmt \x10", id="truncated header"),
+            pytest.param(wav_image([(b"data", b"\x00\x00")]), id="no fmt chunk"),
+            pytest.param(wav_image([fmt_chunk(1, 1, 2, 16)]), id="no data chunk"),
+            pytest.param(
+                wav_image([fmt_chunk(1, 1, 1, 8), (b"data", bytes(range(64)))]),
+                id="8-bit PCM",
+            ),
+        ],
+    )
+    def test_bad_files_are_data_errors(self, tmp_path, image):
+        path = tmp_path / "bad.wav"
+        path.write_bytes(image)
         with pytest.raises(DataFormatError):
             load_wav(path)
 
