@@ -272,6 +272,8 @@ class CorrelationTable:
         tail_rows = np.arange(self._tail, nrows)[:, None]
         self._tail_mask = (tail_rows <= limits[None, :]).astype(np.float64)
         nblocks = (nrows + BLOCK - 1) // BLOCK
+        self._m = m
+        self._nrows = nrows
         self._padded = np.zeros((nblocks * BLOCK, m))
         self.T = self._padded[:nrows]
         self.Bm = np.empty(nblocks)
@@ -279,9 +281,13 @@ class CorrelationTable:
         self.live = np.ones(m, dtype=bool)
         self.rows = [self.T[: limits[i] + 1, i] for i in range(m)]
         self.X = _cross_correlations(self.W)
-        self._tflat = self.T.reshape(-1)
+        self._flat = self._padded.reshape(-1)  # T and its pad, for BLAS
+        self._blocks = self._padded.reshape(nblocks, BLOCK * m)  # one row a block
         self._xflat = self.X.reshape(-1)
-        self._abs = np.empty((0, m))  # grows to one chunk or step, not to T's size
+        # Flat position of each block's first entry in the scratch, to read
+        # Bm at Bp.
+        self._block_starts = np.arange(nblocks) * (BLOCK * m)
+        self._abs = np.empty((0, BLOCK * m))  # grows to one chunk or step's blocks
         self._penalty: np.ndarray | None = None  # scratch-sized, once an atom is dead
         # Whole blocks whose window copy fits _WINDOW_ENTRIES, so each chunk's
         # maxima are taken while the chunk is still in cache.
@@ -308,25 +314,28 @@ class CorrelationTable:
             self.T[lo : hi + 1] *= self._tail_mask[lo - tail : hi + 1 - tail]
 
     def _live_abs(self, b0: int, b1: int) -> np.ndarray:
-        """|T| of blocks b0..b1-1 in the scratch, -inf in dead atoms' columns."""
-        span = self._padded[b0 * BLOCK : b1 * BLOCK]
-        if len(span) > len(self._abs):
-            self._abs = np.empty_like(span)
+        """|T| of blocks b0..b1-1 in the scratch, one row per block, with
+        -inf at dead atoms' entries."""
+        nb = b1 - b0
+        if nb > len(self._abs):
+            self._abs = np.empty((nb, BLOCK * self._m))
             if self._penalty is not None:
-                self._penalty = np.zeros_like(span)
-                self._penalty[:, ~self.live] = -np.inf
-        seg = np.abs(span, out=self._abs[: len(span)])
+                self._penalty = np.zeros_like(self._abs)
+                self._penalty.reshape(-1, self._m)[:, ~self.live] = -np.inf
+        seg = np.abs(self._blocks[b0:b1], out=self._abs[:nb])
         if self._penalty is not None:
-            seg += self._penalty[: len(span)]
+            seg += self._penalty[:nb]
         return seg
 
     def _update_maxima(self, lo: int, hi: int) -> None:
         """Recompute Bm and Bp over the blocks covering offsets lo..hi."""
-        b0, b1 = lo // BLOCK, hi // BLOCK + 1
-        blocks = self._live_abs(b0, b1).reshape(b1 - b0, -1)
-        pos = blocks.argmax(axis=1)
+        b0 = lo // BLOCK
+        b1 = hi // BLOCK + 1
+        seg = self._live_abs(b0, b1)
+        pos = seg.argmax(axis=1)
         self.Bp[b0:b1] = pos
-        self.Bm[b0:b1] = blocks[np.arange(b1 - b0), pos]
+        pos += self._block_starts[: b1 - b0]
+        self.Bm[b0:b1] = seg.take(pos)
 
     def refresh(
         self,
@@ -341,31 +350,34 @@ class CorrelationTable:
         applied from the cross-correlation table; without them the affected
         offsets are recomputed exactly from the residual.
         """
-        lo = max(0, t0 - self.lmax + 1)
-        hi = min(len(self.T) - 1, t1 - 1)
+        lmax = self.lmax
+        nrows = self._nrows
+        lo = t0 - lmax + 1 if t0 >= lmax else 0
+        hi = t1 - 1 if t1 <= nrows else nrows - 1
         if lo > hi:
             return
         if psi is None:
             self._recompute(lo, hi)
         else:
-            m = len(self.lengths)
-            span = 2 * self.lmax - 1
+            m = self._m
+            span = 2 * lmax - 1
+            lengths, xflat, flat = self.lengths, self._xflat, self._flat
             for ev, c in zip(psi, chi):
                 if c == 0.0:
                     continue
                 tau = ev.offset
-                r0 = max(0, tau - self.lmax + 1)
-                r1 = min(len(self.T), tau + self.lengths[ev.atom_index])
-                k0 = r0 - tau + self.lmax - 1
+                a = ev.atom_index
+                r0 = tau - lmax + 1 if tau >= lmax else 0
+                r1 = tau + lengths[a]
+                if r1 > nrows:
+                    r1 = nrows
+                # daxpy(x, y, n, a, offx, incx, offy): y[offy:] -= c * x[offx:]
                 _blas.daxpy(
-                    self._xflat,
-                    self._tflat,
-                    n=(r1 - r0) * m,
-                    a=-float(c),
-                    offx=(ev.atom_index * span + k0) * m,
-                    offy=r0 * m,
+                    xflat, flat, (r1 - r0) * m, -float(c),
+                    (a * span + r0 - tau + lmax - 1) * m, 1, r0 * m,
                 )
-            self._zero_tail(lo, hi)
+            if hi >= self._tail:
+                self._zero_tail(lo, hi)
         self._update_maxima(lo, hi)
 
     def deactivate(self, atom_index: int) -> None:
@@ -373,34 +385,43 @@ class CorrelationTable:
         self.live[atom_index] = False
         if self._penalty is None:
             self._penalty = np.zeros_like(self._abs)
-        self._penalty[:, atom_index] = -np.inf
+        self._penalty[:, atom_index :: self._m] = -np.inf
 
     def _block_best(self, b: int) -> tuple[int, int]:
         """(atom, offset) of block b's largest live |T|, lowest atom first."""
-        i, t = divmod(int(self._live_abs(b, b + 1).T.argmax()), BLOCK)
+        i, t = divmod(int(self._live_abs(b, b + 1).reshape(BLOCK, -1).T.argmax()), BLOCK)
         return i, b * BLOCK + t
 
     def best(self) -> tuple[float, int, int] | None:
         """Largest |c| over live atoms; (value, atom, offset) or None."""
-        Bm, Bp, live = self.Bm, self.Bp, self.live
-        m = len(live)
+        Bm, Bp, live, m = self.Bm, self.Bp, self.live, self._m
         while True:
             b = int(Bm.argmax())
-            if live[Bp[b] % m]:
+            p = int(Bp[b])
+            if live[p % m]:
                 break
             if not live.any():
                 return None
             self._update_maxima(b * BLOCK, b * BLOCK)
         v = Bm[b]
-        if int(Bm[::-1].argmax()) == len(Bm) - 1 - b:
-            i, off = self._block_best(b)
-        else:
+        later = len(Bm) - 1 - b
+        if later and abs(Bm[b + 1 + _blas.idamax(Bm, later, b + 1)]) >= v:
             # v recurs in a later block: a tie, or a dead atom's stale entry.
             for c in np.flatnonzero(Bm == v).tolist():
                 if not live[Bp[c] % m]:
                     self._update_maxima(c * BLOCK, c * BLOCK)
             i, off = min(self._block_best(c) for c in np.flatnonzero(Bm == v).tolist())
-        return float(v), i, off
+            return float(v), i, off
+        # Entries before p in the block are below v, so p wins unless a later
+        # row reaches v: a tie at a lower atom, or a dead atom's larger entry.
+        start = b * BLOCK * m + p + 1
+        rest = BLOCK * m - 1 - p
+        flat = self._flat
+        if rest and abs(flat[start + _blas.idamax(flat, rest, start)]) >= v:
+            i, off = self._block_best(b)
+            return float(v), i, off
+        row, i = divmod(p, m)
+        return float(v), i, b * BLOCK + row
 
 
 def correlate_all(
@@ -525,9 +546,13 @@ def update_residual(
         if c == 0.0:
             continue
         w = waveforms[ev.atom_index]
-        _blas.daxpy(w, residual, n=len(w), a=-float(c), offy=ev.offset)
-        t0 = min(t0, ev.offset)
-        t1 = max(t1, ev.offset + len(w))
+        tau = ev.offset
+        # daxpy(x, y, n, a, offx, incx, offy): y[offy:] -= c * x
+        _blas.daxpy(w, residual, len(w), -float(c), 0, 1, tau)
+        if tau < t0:
+            t0 = tau
+        if tau + len(w) > t1:
+            t1 = tau + len(w)
     if t1 <= t0:
         return 0, 0
     return t0, t1
@@ -574,21 +599,26 @@ def match(
     if norm0 == 0.0:
         return code
 
+    variant = config.variant
+    equiprobable = config.equiprobable
     q = config.quota(n, m)
-    if config.equiprobable and q < 1:
+    if equiprobable and q < 1:
         raise ValueError(
             f"equiprobable quota floor(p*N/M) = {q} < 1; "
             "raise p or use a longer window"
         )
-    counts = np.zeros(m, dtype=np.int64)  # selections per atom
+    counts = [0] * m  # selections per atom, kept by emp/eomp
     budget = config.iteration_budget
-    if budget is None and not config.equiprobable:
-        budget = m * q  # sparsity parity with the equiprobable variants
+    if budget is None:
+        # emp/eomp stop once every atom is at quota; mp/omp at M*Q, for
+        # sparsity parity with them.
+        budget = sys.maxsize if equiprobable else m * q
 
     residual = code.residual
+    events = code.events
     floor = SELECTION_FLOOR_RATIO * norm0
     table = correlate_all(residual, waveforms)
-    local = config.variant in _LOCAL_LSQ
+    local = variant in _LOCAL_LSQ
     starts: list[tuple[int, int]] = []  # neighborhood()'s index, kept by omp/eomp
     # Residual energy for on_step, kept up to date from the span each step
     # changes. It is recomputed exactly whenever it halves, so its round-off
@@ -596,7 +626,7 @@ def match(
     r2 = r2_exact = float(np.dot(residual, residual)) if on_step else 0.0
 
     k = 0
-    while budget is None or k < budget:
+    while k < budget:
         picked = select(table, floor)
         if picked is None:
             break
@@ -605,16 +635,17 @@ def match(
         c0 = float(np.dot(residual[off : off + lengths[i]], waveforms[i]))
         new_event = SparseEvent(i, off, 0.0)
 
-        psi = neighborhood(code.events, starts, new_event, config.variant, lengths)
-
+        if local:
+            psi = neighborhood(events, starts, new_event, variant, lengths)
+        else:
+            psi = [new_event]
         if len(psi) == 1:
             # Unit-norm atom: the increment is the correlation itself.
-            chi = np.array([c0])
-            ridged = False
+            chi = [c0]
         else:
             chi, ridged = solve_neighborhood(psi, residual, waveforms)
-        if ridged:
-            new_event.flagged = True
+            if ridged:
+                new_event.flagged = True
         for ev, c in zip(psi, chi):
             ev.coefficient += float(c)
 
@@ -629,11 +660,12 @@ def match(
             table.refresh(t0, t1, psi, chi)
 
         if local:
-            bisect.insort(starts, (off, len(code.events)))
-        code.events.append(new_event)
-        counts[i] += 1
-        if config.equiprobable and counts[i] >= q:
-            table.deactivate(i)
+            bisect.insort(starts, (off, k))
+        events.append(new_event)
+        if equiprobable:
+            counts[i] += 1
+            if counts[i] >= q:
+                table.deactivate(i)
         k += 1
 
         if on_step is not None:
