@@ -23,12 +23,15 @@ atom a at offset tau changes each correlation by chi times a precomputed
 cross-correlation of atom a with that atom, so only the offsets within
 reach of tau are touched, without re-reading the residual (the MPTK
 update). A flat index makes the argmax cheap: per block of BLOCK offsets,
-the largest |correlation| over all atoms and its position; each step
-recomputes only the blocks it touched. An atom that reaches its quota is
-deactivated in the table, which is the only place the quota is enforced:
-it leaves the index lazily, block by block, so select() searches the live
-atoms alone without a pass over the table. The winner's coefficient is
-recomputed from the residual, so it carries no round-off from the table.
+the largest |correlation| over all atoms and its first position; each step
+recomputes only the blocks it touched. The search confirms the top block's
+position with one BLAS idamax over the entries after it, and rescans the
+block only when one of them reaches its value. An atom that reaches its
+quota is deactivated in the table, which is the only place the quota is
+enforced: it leaves the index lazily, block by block, so select() searches
+the live atoms alone without a pass over the table. The winner's
+coefficient is recomputed from the residual, so it carries no round-off
+from the table.
 
 The table update (daxpy) and the neighbourhood solve (dposv) call scipy's
 f2py modules scipy.linalg._fblas and scipy.linalg._flapack, the modules
@@ -252,6 +255,14 @@ class CorrelationTable:
     maxima, and equals the former when its top entry is live. Dead atoms'
     columns are still updated. best() breaks ties by lowest atom index,
     then lowest offset, across blocks too.
+
+    best() confirms a winner without re-reading its block. Every live
+    entry before Bp[b] in the block is below v = Bm[b], and later entries
+    in Bp[b]'s row belong to higher atoms, so Bp[b] wins unless a later
+    row holds v at a lower atom. One idamax over the entries after Bp[b]
+    tells: when none reaches v, live or dead, Bp[b] is taken as it is.
+    Otherwise, or when v recurs in a later block (one idamax over Bm), the
+    block is searched again atom-major over live atoms only.
     """
 
     def __init__(self, residual: np.ndarray, waveforms: Sequence[np.ndarray]):
@@ -342,7 +353,7 @@ class CorrelationTable:
         t0: int,
         t1: int,
         psi: Sequence[SparseEvent] | None = None,
-        chi: np.ndarray | None = None,
+        chi: Sequence[float] | None = None,
     ) -> None:
         """Bring correlations up to date after residual[t0:t1) changed.
 
@@ -371,7 +382,7 @@ class CorrelationTable:
                 r1 = tau + lengths[a]
                 if r1 > nrows:
                     r1 = nrows
-                # daxpy(x, y, n, a, offx, incx, offy): y[offy:] -= c * x[offx:]
+                # Positional daxpy(x, y, n, a, offx, incx, offy): y += a * x.
                 _blas.daxpy(
                     xflat, flat, (r1 - r0) * m, -float(c),
                     (a * span + r0 - tau + lmax - 1) * m, 1, r0 * m,
@@ -389,7 +400,8 @@ class CorrelationTable:
 
     def _block_best(self, b: int) -> tuple[int, int]:
         """(atom, offset) of block b's largest live |T|, lowest atom first."""
-        i, t = divmod(int(self._live_abs(b, b + 1).reshape(BLOCK, -1).T.argmax()), BLOCK)
+        rows = self._live_abs(b, b + 1).reshape(BLOCK, -1)
+        i, t = divmod(int(rows.T.argmax()), BLOCK)
         return i, b * BLOCK + t
 
     def best(self) -> tuple[float, int, int] | None:
@@ -412,8 +424,9 @@ class CorrelationTable:
                     self._update_maxima(c * BLOCK, c * BLOCK)
             i, off = min(self._block_best(c) for c in np.flatnonzero(Bm == v).tolist())
             return float(v), i, off
-        # Entries before p in the block are below v, so p wins unless a later
-        # row reaches v: a tie at a lower atom, or a dead atom's larger entry.
+        # Live entries before p in the block are below v, so p wins unless a
+        # later row holds v at a lower atom. Any entry after p that reaches v,
+        # live or dead, sends the block to the exact search.
         start = b * BLOCK * m + p + 1
         rest = BLOCK * m - 1 - p
         flat = self._flat
@@ -527,7 +540,7 @@ def solve_neighborhood(
 def update_residual(
     residual: np.ndarray,
     psi: Sequence[SparseEvent],
-    chi: np.ndarray,
+    chi: Sequence[float],
     waveforms: Sequence[np.ndarray],
 ) -> tuple[int, int]:
     """Subtract the neighborhood's combined contribution, in place.
@@ -547,7 +560,7 @@ def update_residual(
             continue
         w = waveforms[ev.atom_index]
         tau = ev.offset
-        # daxpy(x, y, n, a, offx, incx, offy): y[offy:] -= c * x
+        # Positional daxpy(x, y, n, a, offx, incx, offy): y += a * x.
         _blas.daxpy(w, residual, len(w), -float(c), 0, 1, tau)
         if tau < t0:
             t0 = tau

@@ -680,6 +680,36 @@ class TestCorrelationTable:
         assert_index_bounds(table)
         assert table.Bm[2] == 1.0
 
+    def test_tie_at_a_lower_atom_in_a_later_row_of_the_winning_block(self):
+        """Impulse atoms copy one spike into rows 10 (atom 2), 11 and 12
+        (atom 0): the block's first maximum is not the winner."""
+        rng = np.random.default_rng(3022)
+        residual = 0.1 * rng.uniform(-1.0, 1.0, 2 * pursuit.BLOCK)
+        residual[12] = 2.0
+        table = correlate_all(residual, [np.eye(3)[k] for k in range(3)])
+        assert table.Bp[0] == 10 * 3 + 2 and table.Bm[0] == 2.0
+        assert table.best() == brute_force_best(table) == (2.0, 0, 12)
+
+    def test_dead_atoms_larger_entry_after_the_live_winner(self):
+        """Atom 1 tops block 0 at 2 (row 5) once atom 0, holding 3 at row 30,
+        is dead."""
+        residual = np.zeros(2 * pursuit.BLOCK + 1)
+        residual[5:7] = [1.0, -1.0]
+        residual[30:32] = [1.5, 1.5]
+        table = correlate_all(residual, [np.array([1.0, 1.0]), np.array([1.0, -1.0])])
+        table.deactivate(0)
+        assert table.best() == brute_force_best(table) == (2.0, 1, 5)
+        assert table.Bp[0] == 5 * 2 + 1 and abs(table.T[30, 0]) > table.Bm[0]
+
+    def test_winner_is_the_last_entry_of_its_block(self):
+        """Atom 1 peaks at 2 at row BLOCK - 1, the block's last entry."""
+        last = pursuit.BLOCK - 1
+        residual = np.zeros(2 * pursuit.BLOCK + 1)
+        residual[last : last + 2] = [1.0, -1.0]
+        table = correlate_all(residual, [np.array([1.0, 1.0]), np.array([1.0, -1.0])])
+        assert table.Bp[0] == pursuit.BLOCK * 2 - 1
+        assert table.best() == brute_force_best(table) == (2.0, 1, last)
+
     @pytest.mark.parametrize("length, n", [(9, 6 * pursuit.BLOCK + 20), (1100, 1400)])
     def test_deactivating_an_atom_that_tops_many_blocks(self, length, n):
         """The search skips a dead atom's stale block maxima until all are dead.
