@@ -160,7 +160,7 @@ def _cpu_model() -> str:
 
 def cmd_learn(args) -> int:
     sig = _load_input(args)
-    block_len = args.block_len or min(len(sig), 16384)
+    block_len = min(len(sig), 16384) if args.block_len is None else args.block_len
     cfg = LearnConfig(
         m=args.atoms,
         p=args.p,
@@ -218,12 +218,14 @@ def cmd_encode(args) -> int:
 def cmd_reconstruct(args) -> int:
     dictionary = load_dict(args.dict)
     code = load_code(args.code)
-    rate = args.sample_rate or code.sample_rate or dictionary.sample_rate_hint
-    if not rate:
-        raise ValueError(
-            "no sample rate available; pass --sample-rate or use a code/dictionary "
-            "that records one"
-        )
+    rate = args.sample_rate
+    if rate is None:
+        rate = code.sample_rate or dictionary.sample_rate_hint
+        if not rate:
+            raise ValueError(
+                "no sample rate available; pass --sample-rate or use a "
+                "code/dictionary that records one"
+            )
     _emit_run_config(args.out, args)
     approx = reconstruct(code, dictionary)
     save_wav(Signal(approx, int(rate)), args.out, encoding=args.encoding)

@@ -65,6 +65,8 @@ class LearnConfig:
             raise ValueError(f"variant must be one of {VARIANTS}")
         if self.n_blocks is not None and self.n_blocks < 0:
             raise ValueError("n_blocks must be >= 0")
+        if self.max_atom_len is not None and self.max_atom_len < 1:
+            raise ValueError(f"max_atom_len must be >= 1, got {self.max_atom_len}")
         if self.time_budget_s is not None and self.time_budget_s <= 0:
             raise ValueError("time_budget_s must be > 0")
         if self.checkpoint_every < 0:
@@ -154,7 +156,6 @@ def dlearn(
     source: BlockSource,
     cfg: LearnConfig,
     checkpoint_dir: str | None = None,
-    start_dictionary: Dictionary | None = None,
 ) -> tuple[Dictionary, list[BlockRecord]]:
     """Alternate pursuit and atom updates over the block stream.
 
@@ -167,10 +168,7 @@ def dlearn(
     if cfg.n_blocks is None and cfg.time_budget_s is None:
         raise ValueError("set n_blocks or time_budget_s: the block stream has no end")
     sr = source.source.sample_rate
-    if start_dictionary is not None:
-        dictionary = start_dictionary
-    else:
-        dictionary = randdict(cfg.m, seed=cfg.seed, sample_rate_hint=sr)
+    dictionary = randdict(cfg.m, seed=cfg.seed, sample_rate_hint=sr)
     trace: list[BlockRecord] = []
     max_atom_len = (
         cfg.max_atom_len if cfg.max_atom_len is not None else source.block_len // 4

@@ -37,6 +37,11 @@ __all__ = [
 HISTOGRAM_BIN_COUNTS = (16, 32, 64)
 TOP_RATES = 25
 DB_DISPLAY_LIMIT = 120.0
+# profile_signal's events per sample, amplitude decay per atom index, and
+# noise standard deviation.
+PROFILE_DENSITY = 0.0525
+PROFILE_AMP_DECAY = 0.95
+PROFILE_NOISE_SIGMA = 0.002
 
 
 def clamp_db(value: float) -> float:
@@ -114,10 +119,10 @@ def event_rates(
     return counts / (total_samples / sample_rate)
 
 
-def rates_table(rates: np.ndarray, top: int = TOP_RATES) -> list[tuple[int, float]]:
-    """(atom_index, rate) rows sorted by rate descending, truncated to top."""
+def rates_table(rates: np.ndarray) -> list[tuple[int, float]]:
+    """(atom_index, rate) rows sorted by rate descending, the top TOP_RATES."""
     order = np.argsort(-rates, kind="stable")
-    return [(int(i), float(rates[i])) for i in order[:top]]
+    return [(int(i), float(rates[i])) for i in order[:TOP_RATES]]
 
 
 def denoise_sweep(
@@ -159,12 +164,7 @@ def p_sweep(
     return rows
 
 
-def profile_dictionary(
-    m: int,
-    length: int = 128,
-    seed: int = 0,
-    sample_rate: int = 16000,
-) -> Dictionary:
+def profile_dictionary(m: int, length: int = 128, seed: int = 0) -> Dictionary:
     """Dictionary of m unit-norm Gaussian atoms of a fixed length, for timing.
 
     Timing comparisons want atoms long enough that the per-iteration
@@ -179,44 +179,32 @@ def profile_dictionary(
         atoms.append(Atom(w / float(np.linalg.norm(w))))
     return Dictionary(
         atoms,
-        sample_rate_hint=sample_rate,
+        sample_rate_hint=16000,
         provenance=f"profile_dictionary(m={m}, length={length}, seed={seed})",
     )
 
 
-def profile_signal(
-    dictionary: Dictionary,
-    length: int,
-    seed: int = 0,
-    density: float = 0.0525,
-    share_decay: float = 1.0,
-    amp_decay: float = 0.95,
-    noise_sigma: float = 0.002,
-) -> Signal:
+def profile_signal(dictionary: Dictionary, length: int, seed: int = 0) -> Signal:
     """Structured profiling signal: the dictionary's own atoms plus mild noise.
 
     Timing comparisons between plain and equiprobable variants are only
     informative when selections concentrate the way they do on natural
-    signals, so the signal is built non-uniform along two axes. Atom i's
-    share of the density·length events decays geometrically as
-    share_decay**i, and its amplitudes lie in the band amp_decay**i ·
-    [1, 1.04] (random sign). With amp_decay < 1 the bands are disjoint, so
-    greedy selection drains atoms roughly in index order and quota-based
-    variants shed atoms steadily over the whole run instead of all at the
-    end. The default density supplies each atom ~5% more events than a
-    p=0.05 quota needs.
+    signals. Every atom gets an equal share of the PROFILE_DENSITY·length
+    events, but atom i's amplitudes lie in the band PROFILE_AMP_DECAY**i ·
+    [1, 1.04] (random sign). The bands are disjoint, so greedy selection
+    drains atoms roughly in index order and quota-based variants shed atoms
+    steadily over the whole run instead of all at the end. The density
+    supplies each atom ~5% more events than a p=0.05 quota needs.
     """
     rng = np.random.default_rng((seed, 11))
     m = len(dictionary.atoms)
-    shares = share_decay ** np.arange(m)
-    shares /= shares.sum()
-    counts = rng.multinomial(int(round(density * length)), shares)
+    counts = rng.multinomial(int(round(PROFILE_DENSITY * length)), np.full(m, 1 / m))
     placements = []
     for i, count in enumerate(counts):
         w = dictionary.atoms[i].waveform
         offs = rng.integers(0, length - len(w) + 1, size=count)
         amps = (
-            amp_decay**i
+            PROFILE_AMP_DECAY**i
             * rng.uniform(1.0, 1.04, size=count)
             * rng.choice((-1.0, 1.0), size=count)
         )
@@ -225,7 +213,7 @@ def profile_signal(
         dictionary.waveforms,
         placements,
         length,
-        noise_sigma=noise_sigma,
+        noise_sigma=PROFILE_NOISE_SIGMA,
         seed=(seed, 12),
         sample_rate=dictionary.sample_rate_hint or 16000,
     )
@@ -268,7 +256,6 @@ def timing_profile(
     x: Signal | np.ndarray,
     window_lengths: list[int],
     p: float = 0.05,
-    variants: tuple[str, ...] = VARIANTS,
     repeats: int = 3,
     min_cell_time: float = 0.15,
 ) -> list[tuple[str, int, float]]:
@@ -293,6 +280,8 @@ def timing_profile(
     best time, measured once per process, over its time right then.
     Profiles taken in one process thus share one speed scale.
     """
+    if repeats < 1:
+        raise ValueError(f"repeats must be >= 1, got {repeats}")
     samples = np.asarray(x.samples if isinstance(x, Signal) else x, dtype=np.float64)
     if len(samples) < max(window_lengths):
         raise ValueError("profiling signal shorter than the largest window")
@@ -305,8 +294,8 @@ def timing_profile(
         os.sched_setaffinity(0, {min(allowed)})
     try:
         ref = _reference_seconds()
-        cfgs = {v: PursuitConfig(variant=v, p=p) for v in variants}
-        cells = [(v, int(n)) for v in variants for n in window_lengths]
+        cfgs = {v: PursuitConfig(variant=v, p=p) for v in VARIANTS}
+        cells = [(v, int(n)) for v in VARIANTS for n in window_lengths]
         scaled = {cell: [] for cell in cells}
         events, loops, ref_loops = {}, {}, {}
         for v, n in cells:

@@ -115,8 +115,9 @@ RIDGE_RATIO = 1e-10
 # make each step's upkeep of the index cheaper and the argmax over the
 # blocks dearer; 16 and 32 sped up mp but slowed learning at 32 atoms of 100.
 BLOCK = 64
-# Entries of the sliding-window copy _corr_rows matmuls at a time: 512 KB,
-# small enough to stay in L2.
+# Entries of the sliding-window copy the table build matmuls at a time:
+# 512 KB, small enough to stay in L2. The build takes at least one block of
+# offsets a time, so past Lmax = 1024 a copy holds BLOCK * Lmax entries.
 _WINDOW_ENTRIES = 1 << 16
 
 
@@ -186,23 +187,15 @@ class StepInfo:
 def _corr_rows(x: np.ndarray, W: np.ndarray, out: np.ndarray) -> None:
     """Write correlations of every row of W with x at offsets 0..len(x)-L to out.
 
-    out is offset-major: out[t, i] = <x[t : t + L], W[i]>.
-
-    Computed as chunked matmuls against contiguous sliding-window copies of
-    at most _WINDOW_ENTRIES entries each.
+    out is offset-major: out[t, i] = <x[t : t + L], W[i]>. Computed as one
+    matmul against a contiguous copy of x's sliding windows.
     """
     L = W.shape[1]
-    rows = len(x) - L + 1
-    chunk = max(1, _WINDOW_ENTRIES // L)
     stride = x.strides[0]
-    for s in range(0, rows, chunk):
-        e = min(s + chunk, rows)
-        seg = np.ascontiguousarray(
-            np.lib.stride_tricks.as_strided(
-                x[s:], shape=(e - s, L), strides=(stride, stride)
-            )
-        )
-        np.matmul(seg, W.T, out=out[s:e])
+    windows = np.lib.stride_tricks.as_strided(
+        x, shape=(len(x) - L + 1, L), strides=(stride, stride)
+    )
+    np.matmul(np.ascontiguousarray(windows), W.T, out=out)
 
 
 def _cross_correlations(W: np.ndarray) -> np.ndarray:
@@ -229,11 +222,11 @@ class CorrelationTable:
 
     T[t, i] = <residual[t : t + L_i], waveform_i> for t <= N - L_i, held at
     0 past that limit so the search never picks an offset that does not
-    fit. T is offset-major, (N - Lmin + 1) x M, and rows[i] is the strided
-    view of column i cut to its valid offsets. Atoms sit zero-padded in one
+    fit. T is offset-major, (N - Lmin + 1) x M. Atoms sit zero-padded in one
     M x Lmax matrix, so every atom length shares one matmul and one update.
+    The build is the only exact computation of T from the residual.
 
-    refresh() applies a step incrementally: a residual change of -chi at
+    refresh() applies each step incrementally: a residual change of -chi at
     offset tau by atom a moves row t of T by -chi * X[a, t - tau + Lmax-1],
     one contiguous daxpy per neighborhood event over the offsets the event
     can reach. X, the atoms' cross-correlations at every lag, costs
@@ -290,7 +283,6 @@ class CorrelationTable:
         self.Bm = np.empty(nblocks)
         self.Bp = np.empty(nblocks, dtype=np.intp)
         self.live = np.ones(m, dtype=bool)
-        self.rows = [self.T[: limits[i] + 1, i] for i in range(m)]
         self.X = _cross_correlations(self.W)
         self._flat = self._padded.reshape(-1)  # T and its pad, for BLAS
         self._blocks = self._padded.reshape(nblocks, BLOCK * m)  # one row a block
@@ -352,14 +344,14 @@ class CorrelationTable:
         self,
         t0: int,
         t1: int,
-        psi: Sequence[SparseEvent] | None = None,
-        chi: Sequence[float] | None = None,
+        psi: Sequence[SparseEvent],
+        chi: Sequence[float],
     ) -> None:
-        """Bring correlations up to date after residual[t0:t1) changed.
+        """Apply a step that changed residual[t0:t1) to the correlations.
 
-        With the step's neighborhood psi and increments chi, the change is
-        applied from the cross-correlation table; without them the affected
-        offsets are recomputed exactly from the residual.
+        The step subtracted chi[j] times the atom of psi[j] at its offset;
+        each such change is applied from the cross-correlation table, and
+        the maxima of the blocks it reached are recomputed.
         """
         lmax = self.lmax
         nrows = self._nrows
@@ -367,28 +359,25 @@ class CorrelationTable:
         hi = t1 - 1 if t1 <= nrows else nrows - 1
         if lo > hi:
             return
-        if psi is None:
-            self._recompute(lo, hi)
-        else:
-            m = self._m
-            span = 2 * lmax - 1
-            lengths, xflat, flat = self.lengths, self._xflat, self._flat
-            for ev, c in zip(psi, chi):
-                if c == 0.0:
-                    continue
-                tau = ev.offset
-                a = ev.atom_index
-                r0 = tau - lmax + 1 if tau >= lmax else 0
-                r1 = tau + lengths[a]
-                if r1 > nrows:
-                    r1 = nrows
-                # Positional daxpy(x, y, n, a, offx, incx, offy): y += a * x.
-                _blas.daxpy(
-                    xflat, flat, (r1 - r0) * m, -float(c),
-                    (a * span + r0 - tau + lmax - 1) * m, 1, r0 * m,
-                )
-            if hi >= self._tail:
-                self._zero_tail(lo, hi)
+        m = self._m
+        span = 2 * lmax - 1
+        lengths, xflat, flat = self.lengths, self._xflat, self._flat
+        for ev, c in zip(psi, chi):
+            if c == 0.0:
+                continue
+            tau = ev.offset
+            a = ev.atom_index
+            r0 = tau - lmax + 1 if tau >= lmax else 0
+            r1 = tau + lengths[a]
+            if r1 > nrows:
+                r1 = nrows
+            # Positional daxpy(x, y, n, a, offx, incx, offy): y += a * x.
+            _blas.daxpy(
+                xflat, flat, (r1 - r0) * m, -float(c),
+                (a * span + r0 - tau + lmax - 1) * m, 1, r0 * m,
+            )
+        if hi >= self._tail:
+            self._zero_tail(lo, hi)
         self._update_maxima(lo, hi)
 
     def deactivate(self, atom_index: int) -> None:
@@ -470,18 +459,14 @@ def neighborhood(
     events: Sequence[SparseEvent],
     starts: Sequence[tuple[int, int]],
     new_event: SparseEvent,
-    variant: str,
     atom_lengths: Sequence[int],
 ) -> list[SparseEvent]:
-    """Events to re-solve jointly this iteration, new event last.
+    """omp/eomp's events to re-solve jointly this iteration, new event last.
 
-    mp/emp: the new event alone. omp/eomp: also every prior event whose
-    sample support intersects the new event's support, in selection order.
-    starts is the index searched for them: (offset, position in events) of
-    every prior event, sorted.
+    Every prior event whose sample support intersects the new event's
+    support, in selection order. starts is the index searched for them:
+    (offset, position in events) of every prior event, sorted.
     """
-    if variant not in _LOCAL_LSQ:
-        return [new_event]
     off = new_event.offset
     end = off + atom_lengths[new_event.atom_index]
     j0 = bisect.bisect_left(starts, (off - max(atom_lengths) + 1, -1))
@@ -522,11 +507,6 @@ def solve_neighborhood(
     """
     if not psi:
         raise ValueError("neighborhood is empty")
-    if len(psi) == 1:
-        ev = psi[0]
-        w = waveforms[ev.atom_index]
-        seg = residual[ev.offset : ev.offset + len(w)]
-        return np.array([np.dot(seg, w)]), False
     A, u0, u1 = _psi_matrix(psi, waveforms)
     G = A @ A.T
     b = A @ residual[u0:u1]
@@ -612,7 +592,6 @@ def match(
     if norm0 == 0.0:
         return code
 
-    variant = config.variant
     equiprobable = config.equiprobable
     q = config.quota(n, m)
     if equiprobable and q < 1:
@@ -631,7 +610,7 @@ def match(
     events = code.events
     floor = SELECTION_FLOOR_RATIO * norm0
     table = correlate_all(residual, waveforms)
-    local = variant in _LOCAL_LSQ
+    local = config.variant in _LOCAL_LSQ
     starts: list[tuple[int, int]] = []  # neighborhood()'s index, kept by omp/eomp
     # Residual energy for on_step, kept up to date from the span each step
     # changes. It is recomputed exactly whenever it halves, so its round-off
@@ -649,7 +628,7 @@ def match(
         new_event = SparseEvent(i, off, 0.0)
 
         if local:
-            psi = neighborhood(events, starts, new_event, variant, lengths)
+            psi = neighborhood(events, starts, new_event, lengths)
         else:
             psi = [new_event]
         if len(psi) == 1:

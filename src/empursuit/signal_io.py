@@ -230,7 +230,7 @@ class BlockSource:
 
     def __post_init__(self) -> None:
         if self.block_len < 1:
-            raise ValueError("block_len must be positive")
+            raise ValueError(f"block_len must be positive, got {self.block_len}")
         if self.block_len > len(self.source):
             raise ValueError("block_len exceeds source length")
 

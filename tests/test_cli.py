@@ -437,6 +437,50 @@ class TestExitCodes:
         )
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--max-atom-len", "-5"], "max_atom_len must be >= 1, got -5"),
+            (["--block-len", "0"], "block_len must be positive, got 0"),
+        ],
+        ids=["max-atom-len", "block-len"],
+    )
+    def test_bad_learn_length_is_usage_exit(
+        self, tmp_path, synth_cfg, capsys, flags, message
+    ):
+        """A zero is rejected like any other bad value, not replaced by a default."""
+        out = str(tmp_path / "d.json")
+        argv = ["learn", "--synth", synth_cfg, "--atoms", "3", "--blocks", "1"]
+        assert main(argv + flags + ["--out", out]) == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_zero_sample_rate_is_usage_exit(
+        self, tmp_path, synth_cfg, dict_path, capsys
+    ):
+        """--sample-rate 0 is rejected, not replaced by the dictionary's rate."""
+        code_path = str(tmp_path / "sig.code")
+        argv = ["encode", "--synth", synth_cfg, "--dict", dict_path, "--out", code_path]
+        assert main(argv) == EXIT_OK
+        wav_path = str(tmp_path / "out.wav")
+        argv = [
+            "reconstruct", "--dict", dict_path, "--code", code_path,
+            "--sample-rate", "0", "--out", wav_path,
+        ]
+        assert main(argv) == EXIT_USAGE
+        assert "sample_rate must be positive, got 0" in capsys.readouterr().err
+        assert not os.path.exists(wav_path)
+
+    def test_zero_profile_repeats_is_usage_exit(self, tmp_path, capsys):
+        out = str(tmp_path / "prof.csv")
+        argv = [
+            "profile", "--atoms", "2", "--atom-len", "8", "--windows", "256",
+            "--repeats", "0", "--out", out,
+        ]
+        assert main(argv) == EXIT_USAGE
+        assert "repeats must be >= 1, got 0" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_missing_dictionary_is_data_exit(self, tmp_path, synth_cfg):
         code = main(
             [

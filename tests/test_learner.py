@@ -64,6 +64,8 @@ class TestLearnConfig:
             {"n_blocks": -1},
             {"time_budget_s": 0.0},
             {"checkpoint_every": -1},
+            {"max_atom_len": 0},
+            {"max_atom_len": -5},
         ],
     )
     def test_invalid_settings_rejected(self, kwargs):
@@ -315,13 +317,6 @@ class TestDlearn:
         assert files == ["dict_block000002.json", "dict_block000004.json"]
         last = load_dict(tmp_path / "dict_block000004.json")
         assert last == d
-
-    def test_start_dictionary_used(self):
-        src = training_source(7)
-        start = randdict(2, seed=123, sample_rate_hint=8000)
-        cfg = LearnConfig(m=2, n_blocks=0, seed=0)
-        d, _ = dlearn(src, cfg, start_dictionary=start)
-        assert d is start
 
     def test_no_budget_is_rejected_before_the_first_block(self, monkeypatch):
         src = training_source(9)

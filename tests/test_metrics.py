@@ -194,7 +194,7 @@ class TestRatesTable:
         assert values == sorted(values, reverse=True)
 
     def test_ties_keep_ascending_index_order(self):
-        rows = rates_table(np.array([1.0, 1.0, 2.0]), top=3)
+        rows = rates_table(np.array([1.0, 1.0, 2.0]))
         assert rows == [(2, 2.0), (0, 1.0), (1, 1.0)]
 
 
@@ -405,6 +405,13 @@ class TestTimingProfile:
         sig = profile_signal(d, 1024, seed=0)
         with pytest.raises(ValueError):
             timing_profile(d, sig, [2048])
+
+    def test_no_repeats_rejected(self):
+        """Zero repeats would leave every cell without a time, i.e. NaN."""
+        d = profile_dictionary(3, length=8, seed=0)
+        sig = profile_signal(d, 1024, seed=0)
+        with pytest.raises(ValueError, match="repeats"):
+            timing_profile(d, sig, [256], repeats=0)
 
 
 class TestClampDb:

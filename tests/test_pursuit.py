@@ -433,13 +433,6 @@ def start_index(events: list[SparseEvent]) -> list[tuple[int, int]]:
 
 
 class TestNeighborhood:
-    def test_plain_variants_use_new_event_only(self):
-        prior = [SparseEvent(0, 0, 1.0), SparseEvent(1, 3, 1.0)]
-        starts = start_index(prior)
-        new = SparseEvent(0, 2, 0.0)
-        assert neighborhood(prior, starts, new, "mp", [5, 5]) == [new]
-        assert neighborhood(prior, starts, new, "emp", [5, 5]) == [new]
-
     def test_local_variants_take_overlapping_priors(self):
         lengths = [5, 5]
         prior = [
@@ -448,13 +441,13 @@ class TestNeighborhood:
             SparseEvent(1, 6, 1.0),  # support [6, 11) overlaps
         ]
         new = SparseEvent(0, 4, 0.0)
-        psi = neighborhood(prior, start_index(prior), new, "omp", lengths)
+        psi = neighborhood(prior, start_index(prior), new, lengths)
         assert psi == [prior[0], prior[2], new]
 
     def test_adjacent_supports_do_not_overlap(self):
         prior = [SparseEvent(0, 0, 1.0)]
         new = SparseEvent(0, 5, 0.0)
-        assert neighborhood(prior, start_index(prior), new, "eomp", [5]) == [new]
+        assert neighborhood(prior, start_index(prior), new, [5]) == [new]
 
 
 class TestSolveNeighborhood:
@@ -548,18 +541,21 @@ class TestCorrelationTable:
         table = correlate_all(residual, waveforms)
         for i, w in enumerate(waveforms):
             want = np.correlate(residual, w, mode="valid")
-            np.testing.assert_allclose(table.rows[i], want, rtol=1e-12, atol=1e-12)
+            got = table.T[: len(residual) - len(w) + 1, i]
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
     def test_refresh_tracks_local_edit(self):
         rng = np.random.default_rng(3011)
         waveforms = unit_waveforms(rng, 3)
         residual = rng.standard_normal(200)
         table = correlate_all(residual, waveforms)
-        residual[90:110] = rng.standard_normal(20)
-        table.refresh(90, 110)
+        psi, chi = [SparseEvent(1, 90, 0.0)], [0.7]
+        t0, t1 = update_residual(residual, psi, chi, waveforms)
+        table.refresh(t0, t1, psi, chi)
         for i, w in enumerate(waveforms):
             want = np.correlate(residual, w, mode="valid")
-            np.testing.assert_allclose(table.rows[i], want, rtol=1e-12, atol=1e-12)
+            got = table.T[: len(residual) - len(w) + 1, i]
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
     def test_best_is_global_argmax(self):
         rng = np.random.default_rng(3012)
@@ -584,13 +580,14 @@ class TestCorrelationTable:
         table.deactivate(first)
         val, second, off = table.best()
         assert second != first
-        residual[40:80] = rng.standard_normal(40)
-        table.refresh(40, 80)
+        psi, chi = [SparseEvent(second, off, 0.0)], [table.T[off, second]]
+        t0, t1 = update_residual(residual, psi, chi, waveforms)
+        table.refresh(t0, t1, psi, chi)
         for i in range(3):
             if i == first:
                 continue
             want = np.correlate(residual, waveforms[i], mode="valid")
-            np.testing.assert_allclose(table.rows[i], want, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(table.T[:, i], want, rtol=1e-12, atol=1e-12)
         for i in range(3):
             table.deactivate(i)
         assert table.best() is None
@@ -729,8 +726,8 @@ class TestCorrelationTable:
             assert_index_bounds(table)
             _, i, off = found
             table.deactivate(i)
-            residual[off : off + length] -= rng.uniform(0.5, 1.0) * atoms[i]
-            table.refresh(off, off + length)
+            psi, chi = [SparseEvent(i, off, 0.0)], [rng.uniform(0.5, 1.0)]
+            table.refresh(*update_residual(residual, psi, chi, atoms), psi, chi)
         assert table.best() is None
 
     @pytest.mark.parametrize("variant", VARIANTS)
