@@ -1,7 +1,8 @@
 """Command-line surface: learn, encode, reconstruct, eval, profile.
 
-Every run writes a fully resolved config JSON next to its primary output
-(`<out>.run.json`) so results can be traced back to exact parameters.
+Every successful run writes a fully resolved config JSON next to its
+primary output (`<out>.run.json`) so results can be traced back to exact
+parameters; a rejected run writes none.
 Exit codes: 0 success, 2 usage/parameter error, 3 data error, 4 numerical
 degeneracy.
 """
@@ -110,21 +111,17 @@ def _environment() -> dict:
     }
 
 
-def _emit_run_config(primary_out: str, args) -> str:
-    """Write <out>.run.json and return the config digest.
-
-    The digest covers the resolved parameters only, not the environment,
-    so the same parameters give the same digest on any machine.
-    """
+def _run_config(args, **extra) -> str:
+    """JSON of a run's resolved parameters, plus any extra keys."""
     cfg = {k: v for k, v in vars(args).items() if k != "func"}
-    cfg["argv_command"] = args.command
-    blob = json.dumps(cfg, indent=2, sort_keys=True, default=str)
-    record = json.dumps(
-        {**cfg, "environment": _environment()}, indent=2, sort_keys=True, default=str
-    )
-    with open(primary_out + ".run.json", "w") as fh:
-        fh.write(record + "\n")
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+    cfg.update(argv_command=args.command, **extra)
+    return json.dumps(cfg, indent=2, sort_keys=True, default=str)
+
+
+def _config_digest(args) -> str:
+    """Digest of the resolved parameters only, not the environment, so the
+    same parameters give the same digest on any machine."""
+    return hashlib.sha256(_run_config(args).encode()).hexdigest()[:16]
 
 
 def _csv_list(text: str, kind: type) -> list:
@@ -178,7 +175,6 @@ def cmd_learn(args) -> int:
         rng_seed=args.seed,
         carry_residual=args.carry_residual,
     )
-    digest = _emit_run_config(args.out, args)
     dictionary, trace = dlearn(source, cfg, checkpoint_dir=args.checkpoint_dir)
     save_dict(dictionary, args.out)
     trace_path = args.trace or args.out + ".trace.csv"
@@ -186,7 +182,7 @@ def cmd_learn(args) -> int:
         trace,
         trace_path,
         header={
-            "config_digest": digest,
+            "config_digest": _config_digest(args),
             "seed": args.seed,
             "dict_digest": dict_digest(dictionary),
         },
@@ -201,7 +197,6 @@ def cmd_encode(args) -> int:
     dictionary = load_dict(args.dict)
     sig = _load_input(args)
     cfg = PursuitConfig(variant=args.variant, p=args.p, iteration_budget=args.iters)
-    _emit_run_config(args.out, args)
     code = match(dictionary, sig, cfg)
     save_code(code, args.out, residual_path=args.residual)
     print(f"code={args.out}")
@@ -226,7 +221,6 @@ def cmd_reconstruct(args) -> int:
                 "no sample rate available; pass --sample-rate or use a "
                 "code/dictionary that records one"
             )
-    _emit_run_config(args.out, args)
     approx = reconstruct(code, dictionary)
     save_wav(Signal(approx, int(rate)), args.out, encoding=args.encoding)
     print(f"wav={args.out}")
@@ -238,9 +232,8 @@ def cmd_eval(args) -> int:
     dictionary = load_dict(args.dict)
     sig = _load_input(args)
     m = len(dictionary.atoms)
-    digest = _emit_run_config(args.out, args)
     header = {
-        "config_digest": digest,
+        "config_digest": _config_digest(args),
         "dict_digest": dict_digest(dictionary),
         "analysis": args.analysis,
         "p": args.p,
@@ -304,13 +297,14 @@ def cmd_eval(args) -> int:
 
 
 def cmd_profile(args) -> int:
+    windows = _csv_list(args.windows, int)
+    if not windows or min(windows) < 1:
+        raise ValueError(f"--windows must list lengths >= 1, got {args.windows!r}")
     if args.dict:
         dictionary = load_dict(args.dict)
     else:
         dictionary = profile_dictionary(args.atoms, args.atom_len, seed=args.seed)
-    windows = _csv_list(args.windows, int)
     sig = profile_signal(dictionary, max(windows), seed=args.seed)
-    digest = _emit_run_config(args.out, args)
     rows = timing_profile(
         dictionary,
         sig,
@@ -319,7 +313,7 @@ def cmd_profile(args) -> int:
         repeats=args.repeats,
     )
     header = {
-        "config_digest": digest,
+        "config_digest": _config_digest(args),
         "dict_digest": dict_digest(dictionary),
         "cpu_model": _cpu_model(),
         "p": args.p,
@@ -418,7 +412,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_OK
     try:
-        return args.func(args)
+        status = args.func(args)
+        if status == EXIT_OK:
+            with open(args.out + ".run.json", "w") as fh:
+                fh.write(_run_config(args, environment=_environment()) + "\n")
+        return status
     except (DegenerateSignalError, ZeroAtomError, np.linalg.LinAlgError) as exc:
         print(f"error: numerical degeneracy: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

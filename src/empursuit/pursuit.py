@@ -24,14 +24,14 @@ cross-correlation of atom a with that atom, so only the offsets within
 reach of tau are touched, without re-reading the residual (the MPTK
 update). A flat index makes the argmax cheap: per block of BLOCK offsets,
 the largest |correlation| over all atoms and its first position; each step
-recomputes only the blocks it touched. The search confirms the top block's
-position with one BLAS idamax over the entries after it, and rescans the
-block only when one of them reaches its value. An atom that reaches its
-quota is deactivated in the table, which is the only place the quota is
-enforced: it leaves the index lazily, block by block, so select() searches
-the live atoms alone without a pass over the table. The winner's
-coefficient is recomputed from the residual, so it carries no round-off
-from the table.
+recomputes only the blocks it touched. Exact ties go to the lowest
+offset, then the lowest atom: the index's own row-major order, so the
+search reads the winner off the top block's position. An atom that
+reaches its quota is deactivated in the table, which is the only place
+the quota is enforced: it leaves the index lazily, block by block, so
+select() searches the live atoms alone without a pass over the table. The
+winner's coefficient is recomputed from the residual, so it carries no
+round-off from the table.
 
 The table update (daxpy) and the neighbourhood solve (dposv) call scipy's
 f2py modules scipy.linalg._fblas and scipy.linalg._flapack, the modules
@@ -245,17 +245,14 @@ class CorrelationTable:
     0/-inf penalty tile that later refreshes add to |T|, and best()
     re-evaluates over live atoms any block whose top entry is dead before
     accepting it. So Bm[b] lies between the block's live-atom and all-atom
-    maxima, and equals the former when its top entry is live. Dead atoms'
-    columns are still updated. best() breaks ties by lowest atom index,
-    then lowest offset, across blocks too.
+    maxima, and equals the former when its top entry is live: atoms only
+    die, so a live top was the first live maximum when the block was last
+    evaluated, and still is. Dead atoms' columns are still updated.
 
-    best() confirms a winner without re-reading its block. Every live
-    entry before Bp[b] in the block is below v = Bm[b], and later entries
-    in Bp[b]'s row belong to higher atoms, so Bp[b] wins unless a later
-    row holds v at a lower atom. One idamax over the entries after Bp[b]
-    tells: when none reaches v, live or dead, Bp[b] is taken as it is.
-    Otherwise, or when v recurs in a later block (one idamax over Bm), the
-    block is searched again atom-major over live atoms only.
+    best() breaks ties by lowest offset, then lowest atom: T's row-major
+    order, in which argmax takes the first maximum both over the blocks
+    and inside each block. So when the top block's entry at Bp[b] is live,
+    it is the winner.
     """
 
     def __init__(self, residual: np.ndarray, waveforms: Sequence[np.ndarray]):
@@ -387,43 +384,22 @@ class CorrelationTable:
             self._penalty = np.zeros_like(self._abs)
         self._penalty[:, atom_index :: self._m] = -np.inf
 
-    def _block_best(self, b: int) -> tuple[int, int]:
-        """(atom, offset) of block b's largest live |T|, lowest atom first."""
-        rows = self._live_abs(b, b + 1).reshape(BLOCK, -1)
-        i, t = divmod(int(rows.T.argmax()), BLOCK)
-        return i, b * BLOCK + t
-
     def best(self) -> tuple[float, int, int] | None:
-        """Largest |c| over live atoms; (value, atom, offset) or None."""
+        """Largest |c| over live atoms; (value, atom, offset) or None.
+
+        Ties go to the lowest offset, then the lowest atom: the first
+        maximum in T's row-major order, which is the order argmax keeps
+        over the blocks and inside each block.
+        """
         Bm, Bp, live, m = self.Bm, self.Bp, self.live, self._m
         while True:
             b = int(Bm.argmax())
-            p = int(Bp[b])
-            if live[p % m]:
-                break
+            row, i = divmod(int(Bp[b]), m)
+            if live[i]:
+                return float(Bm[b]), i, b * BLOCK + row
             if not live.any():
                 return None
             self._update_maxima(b * BLOCK, b * BLOCK)
-        v = Bm[b]
-        later = len(Bm) - 1 - b
-        if later and abs(Bm[b + 1 + _blas.idamax(Bm, later, b + 1)]) >= v:
-            # v recurs in a later block: a tie, or a dead atom's stale entry.
-            for c in np.flatnonzero(Bm == v).tolist():
-                if not live[Bp[c] % m]:
-                    self._update_maxima(c * BLOCK, c * BLOCK)
-            i, off = min(self._block_best(c) for c in np.flatnonzero(Bm == v).tolist())
-            return float(v), i, off
-        # Live entries before p in the block are below v, so p wins unless a
-        # later row holds v at a lower atom. Any entry after p that reaches v,
-        # live or dead, sends the block to the exact search.
-        start = b * BLOCK * m + p + 1
-        rest = BLOCK * m - 1 - p
-        flat = self._flat
-        if rest and abs(flat[start + _blas.idamax(flat, rest, start)]) >= v:
-            i, off = self._block_best(b)
-            return float(v), i, off
-        row, i = divmod(p, m)
-        return float(v), i, b * BLOCK + row
 
 
 def correlate_all(

@@ -3,9 +3,10 @@
 Recomputes every atom/offset correlation from the residual on every
 iteration with explicit Python loops and dot products: no caching, no
 block maxima, no incremental updates. Selection rule: maximize |c| with
-ties broken by lowest atom index, then lowest offset. Neighborhoods and
-quotas follow the same definitions as the engine under test, but every
-quantity is derived independently here.
+ties broken by lowest offset, then lowest atom index (offsets in the outer
+loop, atoms in the inner one, and only a strictly larger |c| replaces the
+best so far). Neighborhoods and quotas follow the same definitions as the
+engine under test, but every quantity is derived independently here.
 """
 
 from __future__ import annotations
@@ -45,11 +46,13 @@ def naive_match(
             break
         best_val = -1.0
         best = None
-        for i, w in enumerate(waveforms):
-            if equi and counts[i] >= q:
-                continue
-            L = len(w)
-            for off in range(n - L + 1):
+        for off in range(n - min(len(w) for w in waveforms) + 1):
+            for i, w in enumerate(waveforms):
+                if equi and counts[i] >= q:
+                    continue
+                L = len(w)
+                if off + L > n:
+                    continue
                 c = float(np.dot(residual[off : off + L], w))
                 if abs(c) > best_val:
                     best_val = abs(c)

@@ -481,6 +481,61 @@ class TestExitCodes:
         assert "repeats must be >= 1, got 0" in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["reconstruct", "--dict", "{dict}", "--code", "{code}",
+                 "--sample-rate", "0"],
+                "sample_rate must be positive, got 0",
+            ),
+            (
+                ["profile", "--atoms", "2", "--atom-len", "8", "--windows", "256",
+                 "--repeats", "0"],
+                "repeats must be >= 1, got 0",
+            ),
+            (
+                ["eval", "--synth", "{synth}", "--dict", "{dict}",
+                 "--analysis", "psweep", "--p-grid", "0.1:0:0.05"],
+                "bad grid '0.1:0:0.05'",
+            ),
+            (
+                ["eval", "--synth", "{synth}", "--dict", "{dict}",
+                 "--analysis", "entropy", "--variants", "emp,bogus"],
+                "variant must be one of",
+            ),
+            (
+                ["eval", "--synth", "{synth}", "--dict", "{dict}",
+                 "--analysis", "denoise", "--ratios", "0.1,x"],
+                "bad float list '0.1,x'",
+            ),
+            (
+                ["encode", "--synth", "{synth}", "--dict", "{dict}", "--p", "0.001"],
+                "quota floor(p*N/M) = 0 < 1",
+            ),
+            (["profile", "--windows", ","], "--windows must list lengths >= 1"),
+            (["profile", "--windows", "-5"], "--windows must list lengths >= 1"),
+            (["profile", "--windows", "0"], "--windows must list lengths >= 1"),
+        ],
+        ids=[
+            "sample-rate-0", "repeats-0", "p-grid-step-0", "unknown-variant",
+            "bad-ratio", "quota-below-1", "windows-empty", "windows-negative",
+            "windows-0",
+        ],
+    )
+    def test_rejected_run_writes_no_output_or_run_config(
+        self, tmp_path, synth_cfg, dict_path, capsys, argv, message
+    ):
+        code_path = str(tmp_path / "sig.code")
+        argv_enc = ["encode", "--synth", synth_cfg, "--dict", dict_path]
+        assert main(argv_enc + ["--out", code_path]) == EXIT_OK
+        out = str(tmp_path / "out")
+        fill = {"{synth}": synth_cfg, "{dict}": dict_path, "{code}": code_path}
+        assert main([fill.get(a, a) for a in argv] + ["--out", out]) == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not os.path.exists(out)
+        assert not os.path.exists(out + ".run.json")
+
     def test_missing_dictionary_is_data_exit(self, tmp_path, synth_cfg):
         code = main(
             [

@@ -59,13 +59,13 @@ def planted_signal(
 
 
 def brute_force_best(table: CorrelationTable) -> tuple[float, int, int] | None:
-    """Largest live |T|, lowest atom then lowest offset, by a full scan."""
+    """Largest live |T|, lowest offset then lowest atom, by a full scan."""
     if not table.live.any():
         return None
     A = np.abs(table.T)
     A[:, ~table.live] = -np.inf
     top = A.max()
-    i, off = min((int(j), int(t)) for t, j in np.argwhere(A == top))
+    off, i = min((int(t), int(j)) for t, j in np.argwhere(A == top))
     return float(top), i, off
 
 
@@ -224,6 +224,21 @@ class TestReferenceEquivalence:
             np.testing.assert_allclose(
                 code.residual, ref_residual, rtol=1e-9, atol=1e-12
             )
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_first_step_on_a_planted_tie_matches_reference(self, variant):
+        """Atom 1 copies the spike at 20 to offset 18, atom 0 to offset 20:
+        the earlier offset wins, though its atom is higher."""
+        waveforms = [np.eye(3)[0], np.eye(3)[2]]
+        x = np.zeros(64)
+        x[20] = 1.0
+        cfg = PursuitConfig(variant=variant, p=0.25, iteration_budget=1)
+        code = match(as_dictionary(waveforms), x, cfg)
+        ref_events, ref_residual = naive_match(waveforms, x, variant, 0.25, 1)
+        got = [(ev.atom_index, ev.offset, ev.coefficient) for ev in code.events]
+        want = [(ev["atom"], ev["offset"], ev["coeff"]) for ev in ref_events]
+        assert got == want == [(1, 18, 1.0)]
+        np.testing.assert_array_equal(code.residual, ref_residual)
 
 
 class TestEnergyIdentity:
@@ -632,7 +647,7 @@ class TestCorrelationTable:
         assert any(off > n - 30 for _, off in picked)
         assert not tables[0].T[n - 30 + 1 :, [1, 3]].any()
 
-    def test_tie_break_lowest_atom_then_offset(self):
+    def test_tie_break_lowest_offset_then_atom(self):
         w = np.array([1.0])
         residual = np.array([0.0, 1.0, 0.0, 1.0])
         table = correlate_all(residual, [w, w.copy()])
@@ -640,15 +655,15 @@ class TestCorrelationTable:
         assert (i, off) == (0, 1)
         assert val == pytest.approx(1.0)
 
-    def test_tie_goes_to_lower_atom_at_a_later_offset(self):
+    def test_tie_goes_to_the_earlier_offset_at_a_higher_atom(self):
         """Atom 1 reaches 1 at offset 1, before atom 0 does at offset 2."""
         residual = np.array([0.0, 0.0, 1.0, 0.0])
         table = correlate_all(residual, [np.array([1.0, 0.0]), np.array([0.0, 1.0])])
         val, i, off = table.best()
-        assert (i, off) == (0, 2)
+        assert (i, off) == (1, 1)
         assert val == pytest.approx(1.0)
 
-    def test_tie_across_blocks_goes_to_lowest_atom(self):
+    def test_tie_across_blocks_goes_to_the_earlier_block(self):
         """Atom 1 peaks at 2 in block 0, atom 0 at 2 in block 2 only."""
         late = 2 * pursuit.BLOCK + 10
         residual = np.zeros(3 * pursuit.BLOCK)
@@ -658,34 +673,65 @@ class TestCorrelationTable:
         assert table.Bm[0] == table.Bm[2] == 2.0
         # Row-major positions in the block: atom 1 at row 5, atom 0 at row 10.
         assert table.Bp[0] == 5 * 2 + 1 and table.Bp[2] == 10 * 2
-        assert table.best() == (2.0, 0, late)
+        assert table.best() == brute_force_best(table) == (2.0, 1, 5)
 
-    def test_tie_with_a_stale_block_goes_to_lowest_live_atom(self):
-        """Atom 1 tops block 0 at 2; block 1 holds 2 for dead atom 2 first,
-        then for atom 0; block 2 holds 2 for dead atom 2 only."""
+    def test_stale_block_before_a_live_tie_is_passed_over(self):
+        """Dead atom 2 tops block 0 at 2 (row 5) and block 2 at 2 (row 140).
+        Atom 1 holds 2 at row 74 in block 1, and atom 0 holds 2 at row 150
+        in block 2: the earliest live tie wins."""
         residual = np.zeros(3 * pursuit.BLOCK + 1)
-        residual[5:7] = [1.0, -1.0]
-        residual[67] = 1.0
-        residual[74:76] = [1.0, 1.0]
+        residual[5] = 1.0
+        residual[74:76] = [1.0, -1.0]
         residual[140] = 1.0
+        residual[150:152] = [1.0, 1.0]
         atoms = [np.array([1.0, 1.0]), np.array([1.0, -1.0]), np.array([2.0, 0.0])]
         table = correlate_all(residual, atoms)
         np.testing.assert_array_equal(table.Bm, [2.0, 2.0, 2.0])
-        np.testing.assert_array_equal(table.Bp % 3, [1, 2, 2])
+        np.testing.assert_array_equal(table.Bp % 3, [2, 1, 2])
         table.deactivate(2)
-        assert table.best() == (2.0, 0, 74)
+        assert table.best() == brute_force_best(table) == (2.0, 1, 74)
         assert_index_bounds(table)
-        assert table.Bm[2] == 1.0
+        assert table.Bm[0] == 1.0
+        assert table.Bm[2] == 2.0 and table.Bp[2] % 3 == 2
 
     def test_tie_at_a_lower_atom_in_a_later_row_of_the_winning_block(self):
         """Impulse atoms copy one spike into rows 10 (atom 2), 11 and 12
-        (atom 0): the block's first maximum is not the winner."""
+        (atom 0): the block's first maximum is the winner."""
         rng = np.random.default_rng(3022)
         residual = 0.1 * rng.uniform(-1.0, 1.0, 2 * pursuit.BLOCK)
         residual[12] = 2.0
         table = correlate_all(residual, [np.eye(3)[k] for k in range(3)])
         assert table.Bp[0] == 10 * 3 + 2 and table.Bm[0] == 2.0
-        assert table.best() == brute_force_best(table) == (2.0, 0, 12)
+        assert table.best() == brute_force_best(table) == (2.0, 2, 10)
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 10_000))
+    def test_best_matches_brute_force_on_exact_ties(self, seed):
+        """Small-integer residuals and impulse atoms make exact ties common,
+        within and across blocks; integer steps keep them exact."""
+        rng = np.random.default_rng((seed, 3023))
+        m = int(rng.integers(2, 6))
+        atoms = []
+        for _ in range(m):
+            w = np.zeros(int(rng.integers(1, 9)))
+            w[rng.integers(len(w))] = 1.0
+            atoms.append(w)
+        n = int(rng.integers(pursuit.BLOCK, 4 * pursuit.BLOCK))
+        residual = rng.integers(-3, 4, n).astype(np.float64)
+        table = correlate_all(residual, atoms)
+        for i in np.flatnonzero(rng.random(m) < 0.4):
+            table.deactivate(int(i))
+        for _ in range(6):
+            found = table.best()
+            assert found == brute_force_best(table)
+            if found is None:
+                break
+            assert_index_bounds(table)
+            _, i, off = found
+            if rng.random() < 0.3:
+                table.deactivate(i)
+            psi, chi = [SparseEvent(i, off, 0.0)], [float(np.sign(table.T[off, i]))]
+            table.refresh(*update_residual(residual, psi, chi, atoms), psi, chi)
 
     def test_dead_atoms_larger_entry_after_the_live_winner(self):
         """Atom 1 tops block 0 at 2 (row 5) once atom 0, holding 3 at row 30,
