@@ -239,13 +239,15 @@ def cmd_eval(args) -> int:
         "p": args.p,
     }
     variants = args.variants.split(",") if args.variants else list(VARIANTS)
+    # Every variant is checked before the first pursuit runs.
+    cfgs = [PursuitConfig(variant=v, p=args.p) for v in variants]
 
     if args.analysis == "entropy":
         rows = []
-        for variant in variants:
-            code = match(dictionary, sig, PursuitConfig(variant=variant, p=args.p))
+        for cfg in cfgs:
+            code = match(dictionary, sig, cfg)
             row = [
-                variant,
+                cfg.variant,
                 len(code.events),
                 f"{index_entropy(code, m):.6f}",
             ]
@@ -275,12 +277,11 @@ def cmd_eval(args) -> int:
     elif args.analysis == "denoise":
         ratios = _csv_list(args.ratios, float)
         rows = []
-        for variant in variants:
-            cfg = PursuitConfig(variant=variant, p=args.p)
+        for cfg in cfgs:
             for ratio, snr in denoise_sweep(
                 dictionary, sig, ratios, cfg, noise_seed=args.noise_seed
             ):
-                rows.append((variant, ratio, f"{clamp_db(snr):.2f}"))
+                rows.append((cfg.variant, ratio, f"{clamp_db(snr):.2f}"))
         header["noise_seed"] = args.noise_seed
         write_table(args.out, ["variant", "noise_ratio", "snr_db"], rows, header)
     elif args.analysis == "psweep":

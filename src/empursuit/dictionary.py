@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -138,28 +139,31 @@ def extnorm(atom: Atom, max_len: int | None = None) -> Atom:
     max_len. Raises ZeroAtomError for an all-zero waveform.
     """
     w = atom.waveform
-    norm = float(np.linalg.norm(w))
+    # What np.linalg.norm computes for a 1-D array, without its overhead.
+    norm = math.sqrt(w.dot(w))
     if norm == 0.0:
         raise ZeroAtomError("all-zero atom cannot be normalized")
 
     pad = atom.pad_len
-    atom_rms = norm / np.sqrt(len(w))
-    threshold = TAIL_RMS_RATIO * atom_rms
-    grow_left = len(w) > pad and _rms(w[:pad]) > threshold
-    grow_right = len(w) > pad and _rms(w[-pad:]) > threshold
-
     length = len(w)
+    threshold = TAIL_RMS_RATIO * (norm / math.sqrt(length))
+    grow_left = length > pad and _rms(w[:pad]) > threshold
+    grow_right = length > pad and _rms(w[-pad:]) > threshold
+
     if grow_left and (max_len is None or length + pad <= max_len):
         w = np.concatenate([np.zeros(pad), w])
         length += pad
     if grow_right and (max_len is None or length + pad <= max_len):
         w = np.concatenate([w, np.zeros(pad)])
         length += pad
-    return Atom(w / np.linalg.norm(w), pad_len=pad)
+    if length > len(atom.waveform):
+        norm = math.sqrt(w.dot(w))
+    return Atom(w / norm, pad_len=pad)
 
 
 def _rms(x: np.ndarray) -> float:
-    return float(np.sqrt(np.mean(np.square(x))))
+    # np.add.reduce is the sum np.mean takes.
+    return math.sqrt(np.add.reduce(x * x) / len(x))
 
 
 def dict_digest(d: Dictionary) -> str:
@@ -182,9 +186,9 @@ def save_dict(d: Dictionary, path) -> None:
         "provenance": d.provenance,
         "atoms": [a.waveform.tolist() for a in d.atoms],
     }
+    # json.dumps encodes in C; json.dump streams through the Python encoder.
     with open(path, "w") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+        fh.write(json.dumps(doc) + "\n")
 
 
 def load_dict(path) -> Dictionary:

@@ -8,10 +8,12 @@ selected atom along the gradient of the block's squared-residual objective:
     g_i = sum over the atom's events of a_j * r[tau_j : tau_j + L_i]
 
 All of an atom's events in a block are accumulated into one increment and
-one extnorm call, so the update is order-independent. Atoms with no events
-in a block are left untouched, which is why non-equiprobable pursuits can
-leave part of the dictionary at its random initialization while the
-equiprobable ones adapt every atom every block.
+one extnorm call, so the update is order-independent. The increments come
+from one gather of every event's residual segment, after which each atom's
+scaled segments are summed in event order. Atoms with no events in a block
+are left untouched, which is why non-equiprobable pursuits can leave part
+of the dictionary at its random initialization while the equiprobable ones
+adapt every atom every block.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 from .dictionary import Atom, Dictionary, _random_atom, extnorm, randdict, save_dict
 from .errors import ZeroAtomError
 from .metrics import clamp_db, write_table
-from .pursuit import VARIANTS, PursuitConfig, SparseCode, SparseEvent, match
+from .pursuit import VARIANTS, PursuitConfig, SparseCode, match
 from .signal_io import BlockSource, next_block
 
 __all__ = [
@@ -88,24 +90,36 @@ class BlockRecord:
     atom_lengths: list[int]
 
 
-def atom_gradient(code: SparseCode, atom_index: int, atom_len: int) -> np.ndarray:
-    """Gradient of -0.5*||residual||^2 w.r.t. one atom's samples, fixed code.
+def atom_gradient(code: SparseCode, atom_lens: list[int]) -> list[np.ndarray]:
+    """Gradient of -0.5*||residual||^2 w.r.t. every atom's samples, fixed code.
 
-    Sum over the atom's events of coefficient times the residual segment
-    starting at the event offset. Segments running past the residual end
-    (possible after tail growth) are zero-extended.
+    Atom i's gradient, of length atom_lens[i], is the sum over its events of
+    coefficient times the residual segment starting at the event offset;
+    zero for an atom without events. Segments running past the residual
+    end (possible after tail growth) are zero-extended. One gather takes
+    every event's segment; each atom's rows are then added in event order,
+    so the sums are those of a loop over the events.
     """
     if code.residual is None:
         raise ValueError("code carries no residual; re-encode before updating")
-    g = np.zeros(atom_len)
-    r = code.residual
-    n = len(r)
-    for ev in code.events:
-        if ev.atom_index != atom_index:
-            continue
-        seg = r[ev.offset : min(ev.offset + atom_len, n)]
-        g[: len(seg)] += ev.coefficient * seg
-    return g
+    grads = [np.zeros(n) for n in atom_lens]
+    if not code.events:
+        return grads
+    atoms = np.array([ev.atom_index for ev in code.events])
+    order = np.argsort(atoms, kind="stable")
+    offsets = np.array([ev.offset for ev in code.events])[order]
+    coefs = np.array([ev.coefficient for ev in code.events])[order]
+    # Two columns at least: numpy sums a single column pairwise, not in order.
+    width = max(max(atom_lens), 2)
+    r = np.concatenate((code.residual, np.zeros(width)))
+    rows = r[offsets[:, None] + np.arange(width)] * coefs[:, None]
+    hi = 0
+    for i, count in enumerate(np.bincount(atoms, minlength=len(atom_lens)).tolist()):
+        lo, hi = hi, hi + count
+        if count:
+            n = atom_lens[i]
+            grads[i] = rows[lo:hi, : max(n, 2)].sum(axis=0)[:n]
+    return grads
 
 
 def apply_update(
@@ -127,18 +141,14 @@ def apply_update(
     if code.residual is None:
         raise ValueError("code carries no residual; re-encode before updating")
     var = max(float(np.var(code.residual)), RESIDUAL_VAR_FLOOR)
-    by_atom: dict[int, list[SparseEvent]] = {}
-    for ev in code.events:
-        by_atom.setdefault(ev.atom_index, []).append(ev)
+    grads = atom_gradient(code, [len(a.waveform) for a in dictionary.atoms])
+    touched = {ev.atom_index for ev in code.events}
     new_atoms: list[Atom] = []
     for i, atom in enumerate(dictionary.atoms):
-        if i not in by_atom:
+        if i not in touched:
             new_atoms.append(atom)
             continue
-        # A view holding only this atom's events keeps the update O(events).
-        view = SparseCode(by_atom[i], code.residual, code.window_len)
-        g = atom_gradient(view, i, len(atom.waveform))
-        stepped = Atom(atom.waveform + (eta / var) * g, pad_len=atom.pad_len)
+        stepped = Atom(atom.waveform + (eta / var) * grads[i], pad_len=atom.pad_len)
         try:
             new_atoms.append(extnorm(stepped, max_len=max_atom_len))
         except ZeroAtomError:

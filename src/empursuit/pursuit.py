@@ -198,15 +198,29 @@ def _corr_rows(x: np.ndarray, W: np.ndarray, out: np.ndarray) -> None:
     np.matmul(np.ascontiguousarray(windows), W.T, out=out)
 
 
+def _fft_len(n: int) -> int:
+    """Smallest 2^a * 3^b * 5^c >= n: a length of numpy's fast FFT radices."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p = p5
+        while p < best:
+            best = min(best, p << (-(-n // p) - 1).bit_length())
+            p *= 3
+        p5 *= 5
+    return best
+
+
 def _cross_correlations(W: np.ndarray) -> np.ndarray:
     """X[a, k, i] = sum_s W[i, s] * W[a, s + k - (Lmax - 1)], zero-padded rows.
 
     Row a of X holds, for every lag k, how a unit of atom a placed at
     offset tau changes every atom's correlation at offset tau + k - (Lmax-1).
-    Built by rFFT; the transform length avoids circular wrap-around.
+    Built by rFFT; _fft_len(2 Lmax - 1) avoids circular wrap-around (144 at
+    Lmax 70, 200 at 100, the power of two at 128, 256 and 512).
     """
     m, lmax = W.shape
-    nfft = 1 << (2 * lmax - 2).bit_length()
+    nfft = _fft_len(2 * lmax - 1)
     F = np.fft.rfft(W, nfft)
     Fc = F.conj()
     X = np.empty((m, 2 * lmax - 1, m))
@@ -231,7 +245,7 @@ class CorrelationTable:
     one contiguous daxpy per neighborhood event over the offsets the event
     can reach. X, the atoms' cross-correlations at every lag, costs
     M^2 * (2 Lmax - 1) * 8 bytes (8 MB at M=32, Lmax=512) and is built once
-    per table.
+    per table, by rFFTs of the smallest 2^a 3^b 5^c length >= 2 Lmax - 1.
 
     The search index is flat: Bm[b] is the largest |T| over all atoms at
     offsets b*BLOCK..(b+1)*BLOCK-1 and Bp[b] its first row-major position

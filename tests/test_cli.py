@@ -260,6 +260,27 @@ class TestReconstructCommand:
 
 
 class TestEvalCommand:
+    @pytest.mark.parametrize("analysis", ["entropy", "denoise"])
+    def test_unknown_variant_rejected_before_any_pursuit(
+        self, tmp_path, synth_cfg, dict_path, monkeypatch, analysis
+    ):
+        calls = []
+
+        def counting_match(*args, **kwargs):
+            calls.append(args[2].variant)
+            return empursuit.pursuit.match(*args, **kwargs)
+
+        monkeypatch.setattr(empursuit.cli, "match", counting_match)
+        monkeypatch.setattr(empursuit.metrics, "match", counting_match)
+        out = str(tmp_path / f"{analysis}.csv")
+        argv = [
+            "eval", "--synth", synth_cfg, "--dict", dict_path, "--analysis", analysis,
+            "--variants", "emp,omp,bogus", "--out", out,
+        ]
+        assert main(argv) == EXIT_USAGE
+        assert calls == []
+        assert not os.path.exists(out)
+
     def test_entropy_table_hits_quota_parity_and_log2_m(
         self, tmp_path, synth_cfg, dict_path
     ):

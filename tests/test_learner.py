@@ -18,6 +18,7 @@ from empursuit.learner import (
 )
 from empursuit.pursuit import PursuitConfig, SparseCode, SparseEvent, match
 from empursuit.signal_io import BlockSource, synth_signal
+from reference_learner import loop_gradient, loop_update
 
 
 def random_instance(seed: int, n: int = 80, m: int = 3, max_len: int = 10):
@@ -87,8 +88,9 @@ class TestAtomGradient:
         worst = 0.0
         for seed in range(10):
             waveforms, x, code = random_instance(seed)
+            grads = atom_gradient(code, [len(w) for w in waveforms])
             for i, w in enumerate(waveforms):
-                g = atom_gradient(code, i, len(w))
+                g = grads[i]
                 h = 1e-6
                 fd = np.zeros_like(g)
                 for s in range(len(w)):
@@ -105,7 +107,7 @@ class TestAtomGradient:
     def test_zero_for_unselected_atom(self):
         waveforms, _, code = random_instance(3)
         unused = len(waveforms)  # index past every event
-        g = atom_gradient(code, unused, 6)
+        g = atom_gradient(code, [len(w) for w in waveforms] + [6])[unused]
         np.testing.assert_array_equal(g, np.zeros(6))
 
     def test_zero_extends_past_residual_end(self):
@@ -113,13 +115,13 @@ class TestAtomGradient:
         code = SparseCode(
             events=[SparseEvent(0, 3, 2.0)], residual=residual, window_len=5
         )
-        g = atom_gradient(code, 0, 4)
+        g = atom_gradient(code, [4])[0]
         np.testing.assert_allclose(g, [8.0, 10.0, 0.0, 0.0])
 
     def test_requires_residual(self):
         code = SparseCode(events=[], residual=None, window_len=4)
         with pytest.raises(ValueError):
-            atom_gradient(code, 0, 4)
+            atom_gradient(code, [4])
 
 
 class TestApplyUpdate:
@@ -230,6 +232,105 @@ class TestApplyUpdate:
         out = apply_update(d, code, eta=1e-3)
         for atom in out.atoms:
             assert np.linalg.norm(atom.waveform) == pytest.approx(1.0, abs=1e-12)
+
+
+def unit_atoms(rng, lengths) -> list[Atom]:
+    atoms = []
+    for length in lengths:
+        w = rng.standard_normal(length)
+        atoms.append(Atom(w / np.linalg.norm(w)))
+    return atoms
+
+
+def assert_update_matches_loop(d, code, eta, max_atom_len=None, rng_seed=None):
+    """apply_update and the per-event reference give byte-equal waveforms."""
+
+    def rng():
+        return None if rng_seed is None else np.random.default_rng(rng_seed)
+
+    out = apply_update(d, code, eta, max_atom_len=max_atom_len, rng=rng())
+    ref = loop_update(d, code, eta, max_atom_len=max_atom_len, rng=rng())
+    assert len(out.atoms) == len(ref.atoms)
+    for a, b in zip(out.atoms, ref.atoms):
+        assert a.pad_len == b.pad_len
+        assert np.array_equal(a.waveform, b.waveform)
+    return out
+
+
+class TestBatchedUpdateMatchesLoop:
+    def test_mixed_lengths_many_events(self):
+        # Length 1 and 2 atoms with dozens of events each: numpy would sum a
+        # lone column pairwise, out of event order.
+        lengths = (1, 2, 7, 30, 70, 95)
+        for seed in range(8):
+            rng = np.random.default_rng((seed, 4010))
+            atoms = unit_atoms(rng, lengths)
+            n = 400
+            events = [
+                SparseEvent(i, int(rng.integers(0, n - lengths[i] + 1)),
+                            float(rng.normal()))
+                for i in rng.integers(len(lengths), size=240)
+            ]
+            code = SparseCode(events, rng.standard_normal(n), n)
+            grads = atom_gradient(code, list(lengths))
+            for i, length in enumerate(lengths):
+                assert np.array_equal(grads[i], loop_gradient(code, i, length))
+            var = float(np.var(code.residual))
+            for eta in (1e-4 * var, 0.5 * var):
+                assert_update_matches_loop(Dictionary(atoms), code, eta)
+                assert_update_matches_loop(Dictionary(atoms), code, eta, max_atom_len=80)
+
+    def test_repeated_atom_offset_event(self):
+        rng = np.random.default_rng(4011)
+        d = Dictionary(unit_atoms(rng, (12, 20)))
+        events = [
+            SparseEvent(0, 5, 0.7), SparseEvent(1, 5, 0.3), SparseEvent(0, 5, -0.2),
+            SparseEvent(0, 5, 1.1), SparseEvent(1, 5, 0.3),
+        ]
+        code = SparseCode(events, rng.standard_normal(60), 60)
+        assert_update_matches_loop(d, code, eta=0.3)
+
+    def test_events_past_the_residual_end(self):
+        rng = np.random.default_rng(4012)
+        d = Dictionary(unit_atoms(rng, (30, 50)))
+        n = 100
+        events = [
+            SparseEvent(0, n - 3, -0.8), SparseEvent(1, n - 49, 0.4),
+            SparseEvent(1, n - 1, 1.3), SparseEvent(0, 10, 0.2),
+        ]
+        code = SparseCode(events, rng.standard_normal(n), n)
+        grads = atom_gradient(code, [30, 50])
+        assert np.array_equal(grads[0], loop_gradient(code, 0, 30))
+        assert np.array_equal(grads[1], loop_gradient(code, 1, 50))
+        assert_update_matches_loop(d, code, eta=0.5)
+
+    def test_atom_without_events_stays_the_same_object(self):
+        rng = np.random.default_rng(4013)
+        d = Dictionary(unit_atoms(rng, (10, 15, 10)))
+        code = SparseCode(
+            [SparseEvent(0, 4, 0.5), SparseEvent(2, 30, -0.6)],
+            rng.standard_normal(80),
+            80,
+        )
+        out = assert_update_matches_loop(d, code, eta=0.1)
+        assert out.atoms[1] is d.atoms[1]
+        assert out.atoms[0] is not d.atoms[0]
+
+    def test_zero_atom_rerandomized_like_the_loop(self):
+        rng = np.random.default_rng(4014)
+        w, other = (a.waveform for a in unit_atoms(rng, (12, 12)))
+        d = Dictionary([Atom(other), Atom(w), Atom(other)])
+        residual = np.zeros(64)
+        residual[20:32] = -w  # gradient of the single unit event is -w
+        code = SparseCode(
+            [SparseEvent(0, 40, 0.5), SparseEvent(1, 20, 1.0), SparseEvent(2, 2, 0.1)],
+            residual,
+            64,
+        )
+        out = assert_update_matches_loop(
+            d, code, eta=float(np.var(residual)), rng_seed=9
+        )
+        assert len(out.atoms[1].waveform) == 70  # a fresh random atom
 
 
 def training_source(seed: int, length: int = 12000, block_len: int = 1500) -> BlockSource:

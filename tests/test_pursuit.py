@@ -559,6 +559,36 @@ class TestCorrelationTable:
             got = table.T[: len(residual) - len(w) + 1, i]
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("lmax", [70, 130, 257])
+    def test_cross_correlations_match_direct_correlation(self, lmax):
+        """X at a transform length that is not a power of two (144, 270, 540)."""
+        nfft = pursuit._fft_len(2 * lmax - 1)
+        assert nfft & (nfft - 1) != 0
+        rng = np.random.default_rng((3020, lmax))
+        W = np.zeros((3, lmax))
+        for i, length in enumerate((lmax, lmax // 2, 7)):
+            w = rng.standard_normal(length)
+            W[i, :length] = w / np.linalg.norm(w)
+        X = pursuit._cross_correlations(W)
+        assert X.shape == (3, 2 * lmax - 1, 3)
+        for a in range(3):
+            for i in range(3):
+                want = np.correlate(W[a], W[i], mode="full")
+                np.testing.assert_allclose(X[a, :, i], want, rtol=0, atol=1e-12)
+
+    def test_fft_len_is_the_smallest_5_smooth_length(self):
+        def smooth(k):
+            for q in (2, 3, 5):
+                while k % q == 0:
+                    k //= q
+            return k == 1
+
+        want = 4096  # itself 2^12
+        for n in range(4096, 0, -1):
+            if smooth(n):
+                want = n
+            assert pursuit._fft_len(n) == want, n
+
     def test_refresh_tracks_local_edit(self):
         rng = np.random.default_rng(3011)
         waveforms = unit_waveforms(rng, 3)
