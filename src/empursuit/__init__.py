@@ -51,7 +51,6 @@ from .pursuit import (
     save_code,
 )
 from .signal_io import (
-    BlockSource,
     Signal,
     add_noise,
     build_synth_signal,
@@ -67,7 +66,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Atom",
     "BlockRecord",
-    "BlockSource",
     "DataFormatError",
     "DegenerateSignalError",
     "Dictionary",

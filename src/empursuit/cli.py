@@ -47,7 +47,6 @@ from .pursuit import (
     save_code,
 )
 from .signal_io import (
-    BlockSource,
     Signal,
     build_synth_signal,
     load_wav,
@@ -157,7 +156,6 @@ def _cpu_model() -> str:
 
 def cmd_learn(args) -> int:
     sig = _load_input(args)
-    block_len = min(len(sig), 16384) if args.block_len is None else args.block_len
     cfg = LearnConfig(
         m=args.atoms,
         p=args.p,
@@ -166,16 +164,12 @@ def cmd_learn(args) -> int:
         n_blocks=args.blocks,
         time_budget_s=args.time_budget,
         seed=args.seed,
+        block_len=args.block_len,
         max_atom_len=args.max_atom_len,
+        carry_residual=args.carry_residual,
         checkpoint_every=args.checkpoint_every,
     )
-    source = BlockSource(
-        source=sig,
-        block_len=block_len,
-        rng_seed=args.seed,
-        carry_residual=args.carry_residual,
-    )
-    dictionary, trace = dlearn(source, cfg, checkpoint_dir=args.checkpoint_dir)
+    dictionary, trace = dlearn(sig, cfg, checkpoint_dir=args.checkpoint_dir)
     save_dict(dictionary, args.out)
     trace_path = args.trace or args.out + ".trace.csv"
     write_trace(
@@ -346,8 +340,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_learn.add_argument("--blocks", type=int, default=100)
     p_learn.add_argument("--time-budget", type=float, default=None)
     p_learn.add_argument("--seed", type=int, default=0)
-    p_learn.add_argument("--block-len", type=int, default=None)
-    p_learn.add_argument("--max-atom-len", type=int, default=None)
+    p_learn.add_argument(
+        "--block-len", type=int, help="N = signal length; default min(N, 16384), max N"
+    )
+    p_learn.add_argument(
+        "--max-atom-len", type=int, help="at least 70, default max(block-len // 4, 70)"
+    )
     p_learn.add_argument("--carry-residual", action="store_true")
     p_learn.add_argument("--checkpoint-every", type=int, default=0)
     p_learn.add_argument("--checkpoint-dir", default=".")

@@ -24,11 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dictionary import Atom, Dictionary, _random_atom, extnorm, randdict, save_dict
+from .dictionary import INIT_BODY_LEN, TAIL_LEN, Atom, Dictionary, _random_atom
+from .dictionary import extnorm, randdict, save_dict
 from .errors import ZeroAtomError
 from .metrics import clamp_db, write_table
-from .pursuit import VARIANTS, PursuitConfig, SparseCode, match
-from .signal_io import BlockSource, next_block
+from .pursuit import PursuitConfig, SparseCode, match
+from .signal_io import Signal, next_block
 
 __all__ = [
     "LearnConfig",
@@ -40,11 +41,12 @@ __all__ = [
 ]
 
 RESIDUAL_VAR_FLOOR = 1e-12
+MIN_ATOM_LEN_CAP = INIT_BODY_LEN + 2 * TAIL_LEN  # a fresh random atom's length
 
 
 @dataclass
 class LearnConfig:
-    """Dictionary size, pursuit settings, steplength, and block budget."""
+    """Dictionary size, pursuit settings, steplength, blocks and block budget."""
 
     m: int = 32
     p: float = 0.05
@@ -52,23 +54,27 @@ class LearnConfig:
     variant: str = "emp"
     n_blocks: int | None = None
     time_budget_s: float | None = None
-    seed: int = 0
-    max_atom_len: int | None = None  # default: block_len // 4 at run time
+    seed: int = 0  # seeds the initial dictionary and the block positions
+    block_len: int | None = None  # default: min(len(signal), 16384) at run time
+    max_atom_len: int | None = None  # default: max(block_len // 4, 70) at run time
+    carry_residual: bool = False
     checkpoint_every: int = 0
 
     def __post_init__(self) -> None:
         if self.m < 1:
             raise ValueError("m must be >= 1")
-        if not 0.0 < self.p < 1.0:
-            raise ValueError("p must be in (0, 1)")
+        self.pursuit()  # checks p and variant
         if self.eta <= 0:
             raise ValueError("eta must be > 0")
-        if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}")
         if self.n_blocks is not None and self.n_blocks < 0:
             raise ValueError("n_blocks must be >= 0")
-        if self.max_atom_len is not None and self.max_atom_len < 1:
-            raise ValueError(f"max_atom_len must be >= 1, got {self.max_atom_len}")
+        if self.block_len is not None and self.block_len < 1:
+            raise ValueError(f"block_len must be positive, got {self.block_len}")
+        if self.max_atom_len is not None and self.max_atom_len < MIN_ATOM_LEN_CAP:
+            raise ValueError(
+                f"max_atom_len must be >= {MIN_ATOM_LEN_CAP}, the initial atom "
+                f"length, got {self.max_atom_len}"
+            )
         if self.time_budget_s is not None and self.time_budget_s <= 0:
             raise ValueError("time_budget_s must be > 0")
         if self.checkpoint_every < 0:
@@ -163,44 +169,44 @@ def apply_update(
 
 
 def dlearn(
-    source: BlockSource,
+    signal: Signal,
     cfg: LearnConfig,
     checkpoint_dir: str | None = None,
 ) -> tuple[Dictionary, list[BlockRecord]]:
-    """Alternate pursuit and atom updates over the block stream.
+    """Alternate pursuit and atom updates over training blocks of the signal.
 
-    Deterministic given (cfg.seed, source.rng_seed). Stops at the block
-    budget or the wall-clock budget, whichever comes first; raises
-    ValueError if neither is set, since the block stream has no end. With
-    a zero block budget the random initial dictionary is returned.
-    Returns the dictionary and one record per block.
+    Deterministic given cfg.seed. Stops at the block budget or the
+    wall-clock budget, whichever comes first. Raises ValueError before the
+    first block if neither is set (the block stream has no end), if the
+    block is longer than the signal, or if checkpoint_every is set without
+    a checkpoint_dir. With a zero block budget the random initial
+    dictionary is returned. Returns the dictionary and one record per block.
     """
     if cfg.n_blocks is None and cfg.time_budget_s is None:
         raise ValueError("set n_blocks or time_budget_s: the block stream has no end")
-    sr = source.source.sample_rate
+    if cfg.checkpoint_every > 0 and checkpoint_dir is None:
+        raise ValueError("checkpoint_every > 0 needs a checkpoint_dir")
+    # Budget, block and cap are validated positive, so `or` only replaces None.
+    block_len = cfg.block_len or min(len(signal), 16384)
+    if block_len > len(signal):
+        raise ValueError(f"block_len {block_len} exceeds signal length {len(signal)}")
+    max_atom_len = cfg.max_atom_len or max(block_len // 4, MIN_ATOM_LEN_CAP)
+    sr = signal.sample_rate
     dictionary = randdict(cfg.m, seed=cfg.seed, sample_rate_hint=sr)
     trace: list[BlockRecord] = []
-    max_atom_len = (
-        cfg.max_atom_len if cfg.max_atom_len is not None else source.block_len // 4
-    )
     rerand_rng = np.random.default_rng((cfg.seed, 0x5EED))
     pcfg = cfg.pursuit()
 
-    t_start = time.monotonic()
+    stop_at = time.monotonic() + (cfg.time_budget_s or np.inf)
     step = 0
     prev_residual: np.ndarray | None = None
-    while cfg.n_blocks is None or step < cfg.n_blocks:
-        if (
-            cfg.time_budget_s is not None
-            and time.monotonic() - t_start >= cfg.time_budget_s
-        ):
-            break
-        block = next_block(source, step, prev_residual)
+    while (cfg.n_blocks is None or step < cfg.n_blocks) and time.monotonic() < stop_at:
+        block = next_block(signal, block_len, cfg.seed, step, prev_residual)
         code = match(dictionary, block, pcfg)
         dictionary = apply_update(
             dictionary, code, cfg.eta, max_atom_len=max_atom_len, rng=rerand_rng
         )
-        prev_residual = code.residual if source.carry_residual else None
+        prev_residual = code.residual if cfg.carry_residual else None
 
         x2 = float(np.dot(block.samples, block.samples))
         r2 = float(np.dot(code.residual, code.residual))
@@ -214,7 +220,7 @@ def dlearn(
         trace.append(
             BlockRecord(
                 block=step,
-                signal_seconds=(step + 1) * source.block_len / sr,
+                signal_seconds=(step + 1) * block_len / sr,
                 snr_db=float(snr),
                 residual_var=float(np.var(code.residual)),
                 event_counts=counts,
@@ -222,11 +228,7 @@ def dlearn(
             )
         )
         step += 1
-        if (
-            checkpoint_dir is not None
-            and cfg.checkpoint_every > 0
-            and step % cfg.checkpoint_every == 0
-        ):
+        if cfg.checkpoint_every > 0 and step % cfg.checkpoint_every == 0:
             save_dict(
                 dictionary, os.path.join(checkpoint_dir, f"dict_block{step:06d}.json")
             )

@@ -17,7 +17,6 @@ from .errors import DataFormatError, DegenerateSignalError
 
 __all__ = [
     "Signal",
-    "BlockSource",
     "load_wav",
     "save_wav",
     "synth_signal",
@@ -212,39 +211,25 @@ def synth_signal(
 OVERLAP_FRAC = 0.1
 
 
-@dataclass
-class BlockSource:
-    """Serves fixed-length training blocks from random positions of a signal.
-
-    Block starts are seeded-uniform; the sequence is a pure function of
-    (rng_seed, step) and has no end: the learner's budget decides how many
-    blocks are drawn. When carry_residual is set, callers pass the previous
-    block's pursuit residual and the new block head is cross-faded with its
-    tail over OVERLAP_FRAC of the block.
-    """
-
-    source: Signal
-    block_len: int
-    rng_seed: int = 0
-    carry_residual: bool = False
-
-    def __post_init__(self) -> None:
-        if self.block_len < 1:
-            raise ValueError(f"block_len must be positive, got {self.block_len}")
-        if self.block_len > len(self.source):
-            raise ValueError("block_len exceeds source length")
-
-
 def next_block(
-    src: BlockSource, step: int, prev_residual: np.ndarray | None = None
+    signal: Signal,
+    block_len: int,
+    seed: int,
+    step: int,
+    prev_residual: np.ndarray | None = None,
 ) -> Signal:
-    """Return training block ``step`` from the source."""
-    rng = np.random.default_rng((src.rng_seed, step))
-    start = int(rng.integers(0, len(src.source) - src.block_len + 1))
-    block = src.source.samples[start : start + src.block_len].copy()
-    if src.carry_residual and prev_residual is not None:
-        overlap = int(round(OVERLAP_FRAC * src.block_len))
-        overlap = min(overlap, len(prev_residual))
+    """Training block ``step``: block_len <= len(signal) samples, seeded start.
+
+    The start is drawn from default_rng((seed, step)), so the endless block
+    sequence is a pure function of the seed. Given the previous block's
+    residual, the block head is cross-faded with its tail over OVERLAP_FRAC
+    of the block.
+    """
+    rng = np.random.default_rng((seed, step))
+    start = int(rng.integers(0, len(signal) - block_len + 1))
+    block = signal.samples[start : start + block_len].copy()
+    if prev_residual is not None:
+        overlap = min(int(round(OVERLAP_FRAC * block_len)), len(prev_residual))
         if overlap > 0:
             # Raised-cosine cross-fade from the previous residual tail into
             # the fresh block head.
@@ -254,7 +239,7 @@ def next_block(
                 fade_in * block[:overlap]
                 + (1.0 - fade_in) * prev_residual[-overlap:]
             )
-    return Signal(block, src.source.sample_rate)
+    return Signal(block, signal.sample_rate)
 
 
 def add_noise(x: Signal, sigma_ratio: float, seed: int | tuple[int, ...] = 0) -> Signal:

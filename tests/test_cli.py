@@ -461,7 +461,10 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "flags, message",
         [
-            (["--max-atom-len", "-5"], "max_atom_len must be >= 1, got -5"),
+            (
+                ["--max-atom-len", "-5"],
+                "max_atom_len must be >= 70, the initial atom length, got -5",
+            ),
             (["--block-len", "0"], "block_len must be positive, got 0"),
         ],
         ids=["max-atom-len", "block-len"],
@@ -475,6 +478,7 @@ class TestExitCodes:
         assert main(argv + flags + ["--out", out]) == EXIT_USAGE
         assert message in capsys.readouterr().err
         assert not os.path.exists(out)
+        assert not os.path.exists(out + ".run.json")
 
     def test_zero_sample_rate_is_usage_exit(
         self, tmp_path, synth_cfg, dict_path, capsys

@@ -17,7 +17,7 @@ from empursuit.learner import (
     write_trace,
 )
 from empursuit.pursuit import PursuitConfig, SparseCode, SparseEvent, match
-from empursuit.signal_io import BlockSource, synth_signal
+from empursuit.signal_io import Signal, next_block, synth_signal
 from reference_learner import loop_gradient, loop_update
 
 
@@ -67,6 +67,8 @@ class TestLearnConfig:
             {"checkpoint_every": -1},
             {"max_atom_len": 0},
             {"max_atom_len": -5},
+            {"block_len": 0},
+            {"max_atom_len": 69},
         ],
     )
     def test_invalid_settings_rejected(self, kwargs):
@@ -333,7 +335,7 @@ class TestBatchedUpdateMatchesLoop:
         assert len(out.atoms[1].waveform) == 70  # a fresh random atom
 
 
-def training_source(seed: int, length: int = 12000, block_len: int = 1500) -> BlockSource:
+def training_source(seed: int, length: int = 12000) -> Signal:
     rng = np.random.default_rng((seed, 4008))
     waveforms = []
     for _ in range(3):
@@ -344,21 +346,21 @@ def training_source(seed: int, length: int = 12000, block_len: int = 1500) -> Bl
         i = int(rng.integers(3))
         off = int(rng.integers(0, length - 16))
         placements.append((i, off, float(rng.uniform(0.8, 1.2))))
-    sig = synth_signal(waveforms, placements, length, noise_sigma=0.01,
-                       seed=(seed, 4009), sample_rate=8000)
-    return BlockSource(sig, block_len, rng_seed=seed)
+    return synth_signal(waveforms, placements, length, noise_sigma=0.01,
+                        seed=(seed, 4009), sample_rate=8000)
 
 
 class TestDlearn:
     def test_zero_block_budget_returns_initial_dictionary(self):
         src = training_source(0)
-        cfg = LearnConfig(m=4, n_blocks=0, seed=3)
+        cfg = LearnConfig(m=4, n_blocks=0, seed=3, block_len=1500)
         d, trace = dlearn(src, cfg)
         assert len(trace) == 0
         assert d == randdict(4, seed=3, sample_rate_hint=8000)
 
     def test_deterministic_given_seeds(self):
-        cfg = LearnConfig(m=4, p=0.04, eta=1e-4, variant="emp", n_blocks=6, seed=9)
+        cfg = LearnConfig(m=4, p=0.04, eta=1e-4, variant="emp", n_blocks=6, seed=9,
+                          block_len=1500)
         d1, t1 = dlearn(training_source(1), cfg)
         d2, t2 = dlearn(training_source(1), cfg)
         assert len(t1) == len(t2) == 6
@@ -370,9 +372,10 @@ class TestDlearn:
 
     def test_trace_records_shape(self):
         src = training_source(2)
-        cfg = LearnConfig(m=3, p=0.04, eta=1e-4, variant="eomp", n_blocks=4, seed=1)
+        cfg = LearnConfig(m=3, p=0.04, eta=1e-4, variant="eomp", n_blocks=4, seed=1,
+                          block_len=1500)
         d, trace = dlearn(src, cfg)
-        q = cfg.pursuit().quota(src.block_len, 3)
+        q = cfg.pursuit().quota(cfg.block_len, 3)
         for step, rec in enumerate(trace):
             assert rec.block == step
             assert rec.signal_seconds == pytest.approx((step + 1) * 1500 / 8000)
@@ -383,14 +386,16 @@ class TestDlearn:
 
     def test_equiprobable_touches_every_atom_each_block(self):
         src = training_source(3)
-        cfg = LearnConfig(m=3, p=0.04, eta=1e-4, variant="emp", n_blocks=3, seed=2)
+        cfg = LearnConfig(m=3, p=0.04, eta=1e-4, variant="emp", n_blocks=3, seed=2,
+                          block_len=1500)
         _, trace = dlearn(src, cfg)
         for rec in trace:
             assert (rec.event_counts > 0).all()
 
     def test_plain_mp_leaves_zero_event_atoms_bit_identical(self):
         src = training_source(4)
-        cfg = LearnConfig(m=6, p=0.01, eta=1e-3, variant="mp", n_blocks=5, seed=4)
+        cfg = LearnConfig(m=6, p=0.01, eta=1e-3, variant="mp", n_blocks=5, seed=4,
+                          block_len=1500)
         d, trace = dlearn(src, cfg)
         init = randdict(6, seed=4, sample_rate_hint=8000)
         totals = np.zeros(6, dtype=int)
@@ -401,8 +406,9 @@ class TestDlearn:
                 assert np.array_equal(d.atoms[i].waveform, init.atoms[i].waveform)
 
     def test_atom_lengths_capped_by_default(self):
-        src = training_source(5, block_len=800)
-        cfg = LearnConfig(m=3, p=0.05, eta=5e-3, variant="emp", n_blocks=8, seed=5)
+        src = training_source(5)
+        cfg = LearnConfig(m=3, p=0.05, eta=5e-3, variant="emp", n_blocks=8, seed=5,
+                          block_len=800)
         d, _ = dlearn(src, cfg)
         for atom in d.atoms:
             assert len(atom.waveform) <= 800 // 4
@@ -411,7 +417,7 @@ class TestDlearn:
         src = training_source(6)
         cfg = LearnConfig(
             m=2, p=0.04, eta=1e-4, variant="emp", n_blocks=4, seed=6,
-            checkpoint_every=2,
+            block_len=1500, checkpoint_every=2,
         )
         d, _ = dlearn(src, cfg, checkpoint_dir=str(tmp_path))
         files = sorted(p.name for p in tmp_path.iterdir())
@@ -430,10 +436,66 @@ class TestDlearn:
         with pytest.raises(ValueError, match="n_blocks or time_budget_s"):
             dlearn(src, cfg)
 
+    def test_checkpoints_without_a_directory_rejected_before_the_first_block(
+        self, monkeypatch
+    ):
+        cfg = LearnConfig(m=2, p=0.04, n_blocks=4, block_len=1500, checkpoint_every=2)
+
+        def no_block(*args):
+            raise AssertionError("a block was drawn")
+
+        monkeypatch.setattr(learner, "next_block", no_block)
+        with pytest.raises(ValueError, match="checkpoint_dir"):
+            dlearn(training_source(9), cfg)
+
+    def test_block_len_must_fit(self):
+        sig = Signal(np.zeros(50), 8000)
+        with pytest.raises(ValueError, match="exceeds signal length"):
+            dlearn(sig, LearnConfig(m=2, n_blocks=1, block_len=51))
+
+    def test_block_len_defaults_to_signal_length_up_to_16384(self):
+        for length, expected in ((12000, 12000), (20000, 16384)):
+            _, trace = dlearn(
+                training_source(10, length), LearnConfig(m=2, n_blocks=1, seed=1)
+            )
+            assert trace[0].signal_seconds == expected / 8000
+
+    @pytest.mark.parametrize("carry", [False, True])
+    def test_blocks_seeded_by_cfg_seed_and_carry_only_when_set(
+        self, monkeypatch, carry
+    ):
+        """dlearn draws block k with cfg.seed and, when carry_residual is set,
+        the residual of block k - 1; block 0 never gets a residual."""
+        calls, residuals = [], []
+
+        def record_block(*args):
+            calls.append(args)
+            return next_block(*args)
+
+        def record_match(*args):
+            code = match(*args)
+            residuals.append(code.residual)
+            return code
+
+        monkeypatch.setattr(learner, "next_block", record_block)
+        monkeypatch.setattr(learner, "match", record_match)
+        src = training_source(11)
+        cfg = LearnConfig(m=2, p=0.04, eta=1e-4, n_blocks=3, seed=12,
+                          block_len=1500, carry_residual=carry)
+        dlearn(src, cfg)
+        assert len(calls) == 3
+        for step, (signal, block_len, seed, k, prev) in enumerate(calls):
+            assert signal is src
+            assert (block_len, seed, k) == (1500, 12, step)
+            if step == 0 or not carry:
+                assert prev is None
+            else:
+                assert prev is residuals[step - 1]
+
     def test_time_budget_stops_learning(self):
         src = training_source(8)
         cfg = LearnConfig(m=2, p=0.04, eta=1e-4, variant="emp",
-                          time_budget_s=0.4, seed=7)
+                          time_budget_s=0.4, seed=7, block_len=1500)
         d, trace = dlearn(src, cfg)
         assert len(trace) >= 1
         assert len(d.atoms) == 2

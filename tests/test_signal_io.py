@@ -13,7 +13,6 @@ from scipy.io import wavfile
 
 from empursuit.errors import DataFormatError, DegenerateSignalError
 from empursuit.signal_io import (
-    BlockSource,
     Signal,
     add_noise,
     build_synth_signal,
@@ -324,53 +323,43 @@ class TestSynthSignal:
 
 
 class TestBlockSource:
+    """Training blocks drawn by next_block."""
+
     def test_deterministic_sequence(self):
         rng = np.random.default_rng(5)
         sig = Signal(rng.standard_normal(1000), 8000)
-        src_a = BlockSource(source=sig, block_len=64, rng_seed=7)
-        src_b = BlockSource(source=sig, block_len=64, rng_seed=7)
         for step in range(10):
-            a = next_block(src_a, step)
-            b = next_block(src_b, step)
+            a = next_block(sig, 64, 7, step)
+            b = next_block(sig, 64, 7, step)
             assert np.array_equal(a.samples, b.samples)
+
+    def test_start_drawn_from_seed_and_step(self):
+        """The block start formula, pinned so that learned outputs cannot drift."""
+        rng = np.random.default_rng(9)
+        sig = Signal(rng.standard_normal(1000), 8000)
+        for seed, step in ((0, 0), (7, 3), (123, 40)):
+            start = int(np.random.default_rng((seed, step)).integers(0, 1000 - 64 + 1))
+            block = next_block(sig, 64, seed, step)
+            assert np.array_equal(block.samples, sig.samples[start : start + 64])
+            assert block.sample_rate == 8000
 
     def test_five_second_blocks_at_44100(self):
         sig = Signal(np.zeros(44100 * 6), 44100)
-        src = BlockSource(source=sig, block_len=220500, rng_seed=0)
-        block = next_block(src, 0)
+        block = next_block(sig, 220500, 0, 0)
         assert len(block) == 220500
-
-    def test_block_len_must_fit(self):
-        sig = Signal(np.zeros(50), 8000)
-        with pytest.raises(ValueError):
-            BlockSource(source=sig, block_len=51, rng_seed=0)
 
     def test_carry_residual_crossfade(self):
         rng = np.random.default_rng(6)
         sig = Signal(rng.standard_normal(500), 8000)
-        src = BlockSource(
-            source=sig, block_len=100, rng_seed=3, carry_residual=True
-        )
         prev = rng.standard_normal(100)
-        plain = next_block(
-            BlockSource(source=sig, block_len=100, rng_seed=3), 0
-        ).samples
-        faded = next_block(src, 0, prev).samples
+        plain = next_block(sig, 100, 3, 0).samples
+        faded = next_block(sig, 100, 3, 0, prev).samples
         overlap = 10
         t = (np.arange(overlap) + 0.5) / overlap
         fade_in = 0.5 * (1.0 - np.cos(np.pi * t))
         expected_head = fade_in * plain[:overlap] + (1 - fade_in) * prev[-overlap:]
         np.testing.assert_allclose(faded[:overlap], expected_head)
         np.testing.assert_array_equal(faded[overlap:], plain[overlap:])
-
-    def test_no_carry_without_flag(self):
-        rng = np.random.default_rng(8)
-        sig = Signal(rng.standard_normal(500), 8000)
-        src = BlockSource(source=sig, block_len=100, rng_seed=3)
-        prev = rng.standard_normal(100)
-        a = next_block(src, 0, prev)
-        b = next_block(src, 0, None)
-        assert np.array_equal(a.samples, b.samples)
 
 
 class TestAddNoise:
