@@ -20,9 +20,9 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .dictionary import dict_digest, load_dict, randdict, save_dict
+from .dictionary import dict_digest, load_dict, save_dict
 from .errors import DataFormatError, DegenerateSignalError, ZeroAtomError
-from .learner import LearnConfig, dlearn, write_trace
+from .learner import MIN_ATOM_LEN_CAP, LearnConfig, dlearn, write_trace
 from .metrics import (
     HISTOGRAM_BIN_COUNTS,
     clamp_db,
@@ -169,9 +169,14 @@ def cmd_learn(args) -> int:
         carry_residual=args.carry_residual,
         checkpoint_every=args.checkpoint_every,
     )
+    trace_path = args.trace or args.out + ".trace.csv"
+    for path in (args.out, trace_path):
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise FileNotFoundError(f"no directory to write {path!r} in")
+    if args.checkpoint_dir is None:
+        args.checkpoint_dir = os.path.dirname(args.out) or "."
     dictionary, trace = dlearn(sig, cfg, checkpoint_dir=args.checkpoint_dir)
     save_dict(dictionary, args.out)
-    trace_path = args.trace or args.out + ".trace.csv"
     write_trace(
         trace,
         trace_path,
@@ -285,8 +290,6 @@ def cmd_eval(args) -> int:
             for p, snr in p_sweep(dictionary, sig, p_values, variant=args.variant)
         ]
         write_table(args.out, ["p", "snr_db"], rows, header)
-    else:
-        raise ValueError(f"unknown analysis {args.analysis!r}")
     print(f"csv={args.out}")
     return EXIT_OK
 
@@ -333,22 +336,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_learn = sub.add_parser("learn", help="train a dictionary on a signal")
     _add_input_group(p_learn)
-    p_learn.add_argument("--atoms", type=int, default=32, help="dictionary size M")
-    p_learn.add_argument("--p", type=float, default=0.05)
-    p_learn.add_argument("--eta", type=float, default=1e-6)
-    p_learn.add_argument("--variant", choices=VARIANTS, default="emp")
+    learn = LearnConfig()  # the defaults
+    p_learn.add_argument("--atoms", type=int, default=learn.m, help="dictionary size M")
+    p_learn.add_argument("--p", type=float, default=learn.p)
+    p_learn.add_argument("--eta", type=float, default=learn.eta)
+    p_learn.add_argument("--variant", choices=VARIANTS, default=learn.variant)
     p_learn.add_argument("--blocks", type=int, default=100)
     p_learn.add_argument("--time-budget", type=float, default=None)
-    p_learn.add_argument("--seed", type=int, default=0)
+    p_learn.add_argument("--seed", type=int, default=learn.seed)
     p_learn.add_argument(
         "--block-len", type=int, help="N = signal length; default min(N, 16384), max N"
     )
     p_learn.add_argument(
-        "--max-atom-len", type=int, help="at least 70, default max(block-len // 4, 70)"
+        "--max-atom-len", type=int,
+        help="at least {0}, default max(block-len // 4, {0})".format(MIN_ATOM_LEN_CAP),
     )
     p_learn.add_argument("--carry-residual", action="store_true")
-    p_learn.add_argument("--checkpoint-every", type=int, default=0)
-    p_learn.add_argument("--checkpoint-dir", default=".")
+    p_learn.add_argument("--checkpoint-every", type=int, default=learn.checkpoint_every)
+    p_learn.add_argument("--checkpoint-dir", help="default: the directory of --out")
     p_learn.add_argument("--trace", default=None)
     p_learn.add_argument("--out", required=True, help="dictionary file to write")
     p_learn.set_defaults(func=cmd_learn)
@@ -356,8 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_enc = sub.add_parser("encode", help="sparse-code a signal with a dictionary")
     _add_input_group(p_enc)
     p_enc.add_argument("--dict", required=True)
-    p_enc.add_argument("--variant", choices=VARIANTS, default="emp")
-    p_enc.add_argument("--p", type=float, default=0.05)
+    p_enc.add_argument("--variant", choices=VARIANTS, default=PursuitConfig.variant)
+    p_enc.add_argument("--p", type=float, default=PursuitConfig.p)
     p_enc.add_argument("--iters", type=int, help="mp/omp default: M*floor(p*N/M)")
     p_enc.add_argument("--residual", default=None, help="raw float64 residual output")
     p_enc.add_argument("--out", required=True, help="sparse-code file to write")
@@ -381,9 +386,9 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=("entropy", "rates", "histograms", "denoise", "psweep"),
     )
-    p_eval.add_argument("--variant", choices=VARIANTS, default="emp")
+    p_eval.add_argument("--variant", choices=VARIANTS, default=PursuitConfig.variant)
     p_eval.add_argument("--variants", default=None, help="comma list for entropy/denoise")
-    p_eval.add_argument("--p", type=float, default=0.05)
+    p_eval.add_argument("--p", type=float, default=PursuitConfig.p)
     p_eval.add_argument("--iters", type=int, default=None)
     p_eval.add_argument("--ratios", default="0.05,0.1,0.2,0.3")
     p_eval.add_argument("--noise-seed", type=int, default=0)

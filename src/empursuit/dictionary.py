@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,9 +54,6 @@ class Atom:
         if not np.all(np.isfinite(self.waveform)):
             raise ValueError("atom waveform contains non-finite values")
 
-    def __len__(self) -> int:
-        return len(self.waveform)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Atom):
             return NotImplemented
@@ -76,9 +73,8 @@ class Dictionary:
     def __post_init__(self) -> None:
         if len(self.atoms) < 1:
             raise ValueError("dictionary needs at least one atom")
-
-    def __len__(self) -> int:
-        return len(self.atoms)
+        if len({a.pad_len for a in self.atoms}) > 1:
+            raise ValueError("atoms' pad_len differ; a dictionary file stores one")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dictionary):
@@ -103,11 +99,11 @@ def _non_unit_atom(d: Dictionary) -> int | None:
     return None
 
 
-def _random_atom(rng: np.random.Generator) -> Atom:
+def _random_atom(rng: np.random.Generator, pad_len: int = TAIL_LEN) -> Atom:
     body = rng.standard_normal(INIT_BODY_LEN)
     w = np.concatenate([np.zeros(TAIL_LEN), body, np.zeros(TAIL_LEN)])
     w /= np.linalg.norm(w)
-    return Atom(w)
+    return Atom(w, pad_len=pad_len)
 
 
 def randdict(

@@ -139,8 +139,8 @@ def apply_update(
 
     Each touched atom becomes extnorm(phi + eta * g / var(residual)); the
     variance estimate is floored at 1e-12. An atom driven to exactly zero
-    is replaced with a fresh random atom when an rng is supplied, else the
-    degeneracy propagates.
+    is replaced with a fresh random atom, keeping its pad_len, when an rng
+    is supplied, else the degeneracy propagates.
     """
     if eta < 0:
         raise ValueError("eta must be >= 0")
@@ -160,7 +160,7 @@ def apply_update(
         except ZeroAtomError:
             if rng is None:
                 raise
-            new_atoms.append(_random_atom(rng))
+            new_atoms.append(_random_atom(rng, atom.pad_len))
     return Dictionary(
         atoms=new_atoms,
         sample_rate_hint=dictionary.sample_rate_hint,
@@ -179,13 +179,16 @@ def dlearn(
     wall-clock budget, whichever comes first. Raises ValueError before the
     first block if neither is set (the block stream has no end), if the
     block is longer than the signal, or if checkpoint_every is set without
-    a checkpoint_dir. With a zero block budget the random initial
-    dictionary is returned. Returns the dictionary and one record per block.
+    a checkpoint_dir, and FileNotFoundError if that is no directory. With a
+    zero block budget the random initial dictionary is returned. Returns
+    the dictionary and one record per block.
     """
     if cfg.n_blocks is None and cfg.time_budget_s is None:
         raise ValueError("set n_blocks or time_budget_s: the block stream has no end")
     if cfg.checkpoint_every > 0 and checkpoint_dir is None:
         raise ValueError("checkpoint_every > 0 needs a checkpoint_dir")
+    if cfg.checkpoint_every > 0 and not os.path.isdir(checkpoint_dir):
+        raise FileNotFoundError(f"no checkpoint directory {checkpoint_dir!r}")
     # Budget, block and cap are validated positive, so `or` only replaces None.
     block_len = cfg.block_len or min(len(signal), 16384)
     if block_len > len(signal):

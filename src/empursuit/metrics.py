@@ -253,7 +253,7 @@ def _reference_seconds() -> float:
 
 def timing_profile(
     dictionary: Dictionary,
-    x: Signal | np.ndarray,
+    x: Signal,
     window_lengths: list[int],
     p: float = 0.05,
     repeats: int = 3,
@@ -282,7 +282,7 @@ def timing_profile(
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
-    samples = np.asarray(x.samples if isinstance(x, Signal) else x, dtype=np.float64)
+    samples = x.samples
     if len(samples) < max(window_lengths):
         raise ValueError("profiling signal shorter than the largest window")
     # Pin the calling thread to one core for the whole profile: the cores of

@@ -49,7 +49,6 @@ from __future__ import annotations
 import bisect
 import importlib.machinery
 import importlib.util
-import json
 import math
 import os
 import sys
@@ -171,16 +170,12 @@ class SparseCode:
 
 @dataclass
 class StepInfo:
-    """Per-iteration telemetry passed to a match() observer callback."""
+    """One match() step; residual is a live view of the residual after it."""
 
-    k: int
     atom_index: int
     offset: int
-    corr: float
     chi: np.ndarray
     neighborhood: list[SparseEvent]
-    r2_before: float
-    r2_after: float
     residual: np.ndarray
 
 
@@ -274,8 +269,6 @@ class CorrelationTable:
         self.lengths = [len(w) for w in waveforms]
         self.n = len(residual)
         m = len(waveforms)
-        if max(self.lengths) > self.n:
-            raise ValueError("atom longer than the analysis window")
         self.lmax = max(self.lengths)
         self.W = np.zeros((m, self.lmax))
         for i, w in enumerate(waveforms):
@@ -551,7 +544,8 @@ def match(
 
     The input is reproduced exactly as reconstruct(code) + code.residual.
     Selections of an already-used (atom, offset) accumulate onto the same
-    coordinates but count once each toward quota.
+    coordinates but count once each toward quota. on_step gets a StepInfo
+    after each step, whose residual is a live view of the residual after it.
     """
     sample_rate = x.sample_rate if isinstance(x, Signal) else None
     samples = np.asarray(x.samples if isinstance(x, Signal) else x, dtype=np.float64)
@@ -602,10 +596,6 @@ def match(
     table = correlate_all(residual, waveforms)
     local = config.variant in _LOCAL_LSQ
     starts: list[tuple[int, int]] = []  # neighborhood()'s index, kept by omp/eomp
-    # Residual energy for on_step, kept up to date from the span each step
-    # changes. It is recomputed exactly whenever it halves, so its round-off
-    # stays relative to its own size, at O(N) per halving.
-    r2 = r2_exact = float(np.dot(residual, residual)) if on_step else 0.0
 
     k = 0
     while k < budget:
@@ -631,12 +621,6 @@ def match(
         for ev, c in zip(psi, chi):
             ev.coefficient += float(c)
 
-        if on_step is not None:
-            u0 = min(ev.offset for ev in psi)
-            u1 = max(ev.offset + lengths[ev.atom_index] for ev in psi)
-            seg = residual[u0:u1]  # a view: holds the updated span afterwards
-            r2_before = r2
-            r2 -= float(np.dot(seg, seg))
         t0, t1 = update_residual(residual, psi, chi, waveforms)
         if t1 > t0:
             table.refresh(t0, t1, psi, chi)
@@ -651,19 +635,12 @@ def match(
         k += 1
 
         if on_step is not None:
-            r2 += float(np.dot(seg, seg))
-            if r2 < 0.5 * r2_exact:
-                r2 = r2_exact = float(np.dot(residual, residual))
             on_step(
                 StepInfo(
-                    k=k,
                     atom_index=i,
                     offset=off,
-                    corr=float(abs(c0)),
                     chi=np.asarray(chi, dtype=np.float64),
                     neighborhood=psi,
-                    r2_before=r2_before,
-                    r2_after=r2,
                     residual=residual,
                 )
             )

@@ -46,17 +46,6 @@ class Signal:
     def __len__(self) -> int:
         return len(self.samples)
 
-    @property
-    def duration(self) -> float:
-        """Signal length in seconds."""
-        return len(self.samples) / self.sample_rate
-
-
-def _as_samples(x: Signal | np.ndarray | Sequence[float]) -> np.ndarray:
-    if isinstance(x, Signal):
-        return x.samples
-    return np.asarray(x, dtype=np.float64)
-
 
 # WAVE format tags: integer PCM, IEEE float, and the extensible header whose
 # subformat GUID carries one of the two in its first four bytes.
@@ -177,7 +166,7 @@ def save_wav(sig: Signal, path, encoding: str = "float32") -> None:
 
 
 def synth_signal(
-    atoms: Sequence,
+    waveforms: Sequence[np.ndarray],
     placements: Sequence[tuple[int, int, float]],
     length: int,
     noise_sigma: float = 0.0,
@@ -186,13 +175,11 @@ def synth_signal(
 ) -> Signal:
     """Superpose scaled, shifted waveforms plus optional Gaussian noise.
 
-    atoms may be raw 1-D arrays or objects with a ``waveform`` attribute.
     Each placement is (atom index, offset, amplitude) and must keep the
     atom's full support inside [0, length).
     """
     if noise_sigma < 0:
         raise ValueError("noise_sigma must be >= 0")
-    waveforms = [np.asarray(getattr(a, "waveform", a), dtype=np.float64) for a in atoms]
     out = np.zeros(length, dtype=np.float64)
     for idx, offset, amp in placements:
         w = waveforms[idx]
@@ -256,19 +243,17 @@ def add_noise(x: Signal, sigma_ratio: float, seed: int | tuple[int, ...] = 0) ->
     return Signal(noisy, x.sample_rate)
 
 
-def snr_db(reference, estimate) -> float:
+def snr_db(reference: np.ndarray, estimate: np.ndarray) -> float:
     """10 log10 of reference energy over error energy, in dB.
 
     Returns +inf for a perfect estimate; raises on zero reference energy.
     """
-    ref = _as_samples(reference)
-    est = _as_samples(estimate)
-    if len(ref) != len(est):
+    if len(reference) != len(estimate):
         raise ValueError("reference and estimate lengths differ")
-    ref_energy = float(np.dot(ref, ref))
+    ref_energy = float(np.dot(reference, reference))
     if ref_energy == 0.0:
         raise DegenerateSignalError("reference signal has zero energy")
-    err = ref - est
+    err = reference - estimate
     err_energy = float(np.dot(err, err))
     if err_energy == 0.0:
         return math.inf

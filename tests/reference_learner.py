@@ -70,7 +70,7 @@ def loop_update(
         except ZeroAtomError:
             if rng is None:
                 raise
-            new_atoms.append(_random_atom(rng))
+            new_atoms.append(_random_atom(rng, atom.pad_len))
     return Dictionary(
         atoms=new_atoms,
         sample_rate_hint=dictionary.sample_rate_hint,

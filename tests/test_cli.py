@@ -16,8 +16,17 @@ import pytest
 import scipy
 
 import empursuit
-from empursuit.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+from empursuit import learner
+from empursuit.cli import (
+    EXIT_DATA,
+    EXIT_NUMERIC,
+    EXIT_OK,
+    EXIT_USAGE,
+    build_parser,
+    main,
+)
 from empursuit.dictionary import load_dict, randdict, save_dict
+from empursuit.learner import LearnConfig
 from empursuit.pursuit import PursuitConfig, load_code, reconstruct
 from empursuit.signal_io import load_wav
 
@@ -123,6 +132,70 @@ class TestLearnCommand:
         assert run_cfg["argv_command"] == "learn"
         assert run_cfg["atoms"] == 3
         assert run_cfg["p"] == 0.05  # default resolved and recorded
+
+    @pytest.mark.parametrize("out_dir", ["run", ""], ids=["out-dir", "no-dir-part"])
+    def test_checkpoints_default_to_the_directory_of_out(
+        self, tmp_path, synth_cfg, monkeypatch, out_dir
+    ):
+        """Not the working directory: checkpoints land next to the dictionary."""
+        (tmp_path / "cwd" / "run").mkdir(parents=True)
+        monkeypatch.chdir(tmp_path / "cwd")
+        out = os.path.join(out_dir, "d.json")
+        flags = [
+            "learn", "--synth", synth_cfg, "--atoms", "3", "--blocks", "2",
+            "--block-len", "1000", "--checkpoint-every", "1", "--out", out,
+        ]
+        assert main(flags) == EXIT_OK
+        ckpts = ["dict_block000001.json", "dict_block000002.json"]
+        assert all(os.path.isfile(os.path.join(out_dir, f)) for f in ckpts)
+        if out_dir:
+            assert not any(os.path.exists(f) for f in ckpts)
+        run_cfg = json.loads(Path(out + ".run.json").read_text())
+        assert run_cfg["checkpoint_dir"] == (out_dir or ".")
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--out", "{missing}/d.json"],
+            ["--trace", "{missing}/t.csv", "--out", "{tmp}/d.json"],
+            ["--checkpoint-dir", "{missing}", "--out", "{tmp}/d.json"],
+        ],
+        ids=["out", "trace", "checkpoint-dir"],
+    )
+    def test_missing_output_directory_rejected_before_the_first_block(
+        self, tmp_path, synth_cfg, monkeypatch, capsys, flags
+    ):
+        def no_block(*args):
+            raise AssertionError("a block was drawn")
+
+        monkeypatch.setattr(learner, "next_block", no_block)
+        fill = {"{missing}": str(tmp_path / "missing"), "{tmp}": str(tmp_path)}
+        for key, value in fill.items():
+            flags = [f.replace(key, value) for f in flags]
+        argv = [
+            "learn", "--synth", synth_cfg, "--atoms", "3", "--blocks", "2",
+            "--block-len", "1000", "--checkpoint-every", "1",
+        ]
+        assert main(argv + flags) == EXIT_DATA
+        assert "directory" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["synth.json"]
+
+    def test_defaults_come_from_the_configs(self):
+        parser = build_parser()
+        learn = parser.parse_args(["learn", "--synth", "s.json", "--out", "d.json"])
+        cfg = LearnConfig()
+        assert (
+            learn.atoms, learn.p, learn.eta, learn.variant, learn.seed,
+            learn.checkpoint_every,
+        ) == (cfg.m, cfg.p, cfg.eta, cfg.variant, cfg.seed, cfg.checkpoint_every)
+        pursuit = PursuitConfig()
+        for command in (
+            ["encode", "--synth", "s.json", "--dict", "d.json", "--out", "x.code"],
+            ["eval", "--synth", "s.json", "--dict", "d.json", "--analysis", "rates",
+             "--out", "x.csv"],
+        ):
+            args = parser.parse_args(command)
+            assert (args.p, args.variant) == (pursuit.p, pursuit.variant)
 
 
 class TestEncodeCommand:

@@ -162,6 +162,13 @@ class TestSerialization:
         assert [len(a.waveform) for a in back.atoms] == [90, 90, 90]
         assert back == d
 
+    def test_mixed_pad_len_rejected(self):
+        """The file stores one pad_len, so a mixed dictionary would not round-trip."""
+        w = np.full(4, 0.5)
+        with pytest.raises(ValueError, match="pad_len"):
+            Dictionary([Atom(w, pad_len=2), Atom(w)])
+        Dictionary([Atom(w, pad_len=2), Atom(w, pad_len=2)])
+
     def test_version_mismatch_rejected(self, tmp_path):
         d = randdict(2, seed=0)
         path = tmp_path / "d.json"

@@ -334,6 +334,22 @@ class TestBatchedUpdateMatchesLoop:
         )
         assert len(out.atoms[1].waveform) == 70  # a fresh random atom
 
+    def test_rerandomized_atom_keeps_the_pad_len(self):
+        """A dictionary has one pad_len, so a fresh atom takes the one it replaces."""
+        rng = np.random.default_rng(4014)
+        w, other = (a.waveform for a in unit_atoms(rng, (12, 12)))
+        d = Dictionary([Atom(other, pad_len=2), Atom(w, pad_len=2)])
+        residual = np.zeros(64)
+        residual[20:32] = -w  # gradient of the single unit event is -w
+        code = SparseCode(
+            [SparseEvent(0, 40, 0.5), SparseEvent(1, 20, 1.0)], residual, 64
+        )
+        out = assert_update_matches_loop(
+            d, code, eta=float(np.var(residual)), rng_seed=9
+        )
+        assert len(out.atoms[1].waveform) == 70  # a fresh random atom
+        assert [a.pad_len for a in out.atoms] == [2, 2]
+
 
 def training_source(seed: int, length: int = 12000) -> Signal:
     rng = np.random.default_rng((seed, 4008))
@@ -447,6 +463,18 @@ class TestDlearn:
         monkeypatch.setattr(learner, "next_block", no_block)
         with pytest.raises(ValueError, match="checkpoint_dir"):
             dlearn(training_source(9), cfg)
+
+    def test_missing_checkpoint_directory_rejected_before_the_first_block(
+        self, tmp_path, monkeypatch
+    ):
+        cfg = LearnConfig(m=2, p=0.04, n_blocks=4, block_len=1500, checkpoint_every=2)
+
+        def no_block(*args):
+            raise AssertionError("a block was drawn")
+
+        monkeypatch.setattr(learner, "next_block", no_block)
+        with pytest.raises(FileNotFoundError, match="no checkpoint directory"):
+            dlearn(training_source(9), cfg, checkpoint_dir=str(tmp_path / "missing"))
 
     def test_block_len_must_fit(self):
         sig = Signal(np.zeros(50), 8000)

@@ -28,7 +28,7 @@ class TestSignal:
     def test_basic_fields(self):
         sig = Signal(np.zeros(10), 8000)
         assert len(sig) == 10
-        assert sig.duration == pytest.approx(10 / 8000)
+        assert sig.sample_rate == 8000
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
