@@ -18,20 +18,24 @@ empirical index distribution is exactly uniform. mp/omp default to an
 iteration budget of M*Q so all four variants are equally sparse.
 
 Correlations of every atom at every offset live in one table, built once
-per window and then updated incrementally: a step that subtracts chi times
-atom a at offset tau changes each correlation by chi times a precomputed
-cross-correlation of atom a with that atom, so only the offsets within
-reach of tau are touched, without re-reading the residual (the MPTK
-update). A flat index makes the argmax cheap: per block of BLOCK offsets,
-the largest |correlation| over all atoms and its first position; each step
-recomputes only the blocks it touched. Exact ties go to the lowest
-offset, then the lowest atom: the index's own row-major order, so the
-search reads the winner off the top block's position. An atom that
-reaches its quota is deactivated in the table, which is the only place
-the quota is enforced: it leaves the index lazily, block by block, so
-select() searches the live atoms alone without a pass over the table. The
-winner's coefficient is recomputed from the residual, so it carries no
-round-off from the table.
+per window and then updated incrementally. The build is exact: one matmul
+over the residual's sliding windows while the longest atom is shorter than
+_OVERLAP_SAVE_LMAX (200 samples, a measured crossover), and from there on
+overlap-save FFTs from the atom spectra that the update's
+cross-correlations are built from anyway. After the build, a step that
+subtracts chi times atom a at offset tau changes each correlation by chi
+times a precomputed cross-correlation of atom a with that atom, so only
+the offsets within reach of tau are touched, without re-reading the
+residual (the MPTK update). A flat index makes the argmax cheap: per
+block of BLOCK offsets, the largest |correlation| over all atoms and its
+first position; each step recomputes only the blocks it touched. Exact
+ties go to the lowest offset, then the lowest atom: the index's own
+row-major order, so the search reads the winner off the top block's
+position. An atom that reaches its quota is deactivated in the table,
+which is the only place the quota is enforced: it leaves the index
+lazily, block by block, so select() searches the live atoms alone without
+a pass over the table. The winner's coefficient is recomputed from the
+residual, so it carries no round-off from the table.
 
 The table update (daxpy) and the neighbourhood solve (dposv) call scipy's
 f2py modules scipy.linalg._fblas and scipy.linalg._flapack, the modules
@@ -114,10 +118,21 @@ RIDGE_RATIO = 1e-10
 # make each step's upkeep of the index cheaper and the argmax over the
 # blocks dearer; 16 and 32 sped up mp but slowed learning at 32 atoms of 100.
 BLOCK = 64
-# Entries of the sliding-window copy the table build matmuls at a time:
-# 512 KB, small enough to stay in L2. The build takes at least one block of
-# offsets a time, so past Lmax = 1024 a copy holds BLOCK * Lmax entries.
+# Entries of the sliding-window copy the matmul table build multiplies at a
+# time: 512 KB, small enough to stay in L2. That build takes at least one
+# block of offsets a time, so past Lmax = 1024 a copy would hold
+# BLOCK * Lmax entries, but from _OVERLAP_SAVE_LMAX on the build is spectral.
 _WINDOW_ENTRIES = 1 << 16
+# Lmax from which the table build correlates by overlap-save FFT,
+# from X's atom spectra, instead of one matmul over the atoms zero-padded
+# to Lmax. The matmul costs N * Lmax * M multiply-adds, the FFTs about
+# N * M * log(Lmax). Whole table builds, X included, at M=32 on 4096
+# samples, one BLAS thread, 2-core Xeon, medians of 60 interleaved builds,
+# matmul vs overlap-save: Lmax 128 2.8 vs 3.5 ms, 192 5.2 vs 5.2, 200 5.3
+# vs 5.2, 256 4.3 vs 3.7, 384 6.5 vs 4.9, 512 8.6 vs 6.5; L=100 on 16384
+# samples 4.9 vs 12.3. A segment yields at least Lmax offsets, so this must
+# be at least BLOCK.
+_OVERLAP_SAVE_LMAX = 200
 
 
 @dataclass
@@ -206,17 +221,17 @@ def _fft_len(n: int) -> int:
     return best
 
 
-def _cross_correlations(W: np.ndarray) -> np.ndarray:
+def _cross_correlations(F: np.ndarray, lmax: int) -> np.ndarray:
     """X[a, k, i] = sum_s W[i, s] * W[a, s + k - (Lmax - 1)], zero-padded rows.
 
     Row a of X holds, for every lag k, how a unit of atom a placed at
     offset tau changes every atom's correlation at offset tau + k - (Lmax-1).
-    Built by rFFT; _fft_len(2 Lmax - 1) avoids circular wrap-around (144 at
-    Lmax 70, 200 at 100, the power of two at 128, 256 and 512).
+    Built from F = rfft(W, nfft) at nfft = _fft_len(2 Lmax - 1), which
+    avoids circular wrap-around (144 at Lmax 70, 200 at 100, the power of
+    two at 128, 256 and 512).
     """
-    m, lmax = W.shape
+    m = len(F)
     nfft = _fft_len(2 * lmax - 1)
-    F = np.fft.rfft(W, nfft)
     Fc = F.conj()
     X = np.empty((m, 2 * lmax - 1, m))
     for a in range(m):
@@ -232,8 +247,14 @@ class CorrelationTable:
     T[t, i] = <residual[t : t + L_i], waveform_i> for t <= N - L_i, held at
     0 past that limit so the search never picks an offset that does not
     fit. T is offset-major, (N - Lmin + 1) x M. Atoms sit zero-padded in one
-    M x Lmax matrix, so every atom length shares one matmul and one update.
-    The build is the only exact computation of T from the residual.
+    M x Lmax matrix, so every atom length shares one build and one update.
+    The build is the only exact computation of T from the residual, by one
+    of two methods chosen by Lmax. Below _OVERLAP_SAVE_LMAX it is one matmul
+    of W against the residual's sliding windows, N * Lmax * M multiply-adds.
+    From there on it is overlap-save: each segment of nfft residual samples
+    is rFFT'd once, multiplied by every atom's conjugate spectrum (the one X
+    is built from) and inverse-transformed in one batch, and the
+    nfft - Lmax + 1 offsets whose circular correlation does not wrap fill T.
 
     refresh() applies each step incrementally: a residual change of -chi at
     offset tau by atom a moves row t of T by -chi * X[a, t - tau + Lmax-1],
@@ -245,10 +266,12 @@ class CorrelationTable:
     The search index is flat: Bm[b] is the largest |T| over all atoms at
     offsets b*BLOCK..(b+1)*BLOCK-1 and Bp[b] its first row-major position
     in the block (row * M + atom). A block's BLOCK*M entries are contiguous,
-    so the build (a chunk of whole blocks at a time, still in cache) and
-    each refresh (the blocks it touched) take one |T| into a scratch and
-    one argmax per block. T is a view of a buffer padded with zero rows to
-    whole blocks; the pad follows every real offset, so no search picks it.
+    so the build and each refresh (the blocks it touched) take one |T| into
+    a scratch and one argmax per block. The build does so a chunk of whole
+    blocks at a time, still in cache: one segment's offsets rounded down to
+    whole blocks, or the offsets whose window copy fits _WINDOW_ENTRIES.
+    T is a view of a buffer padded with zero rows to whole blocks; the pad
+    follows every real offset, so no search picks it.
 
     deactivate() drops an atom lazily: it sets the atom's column of a
     0/-inf penalty tile that later refreshes add to |T|, and best()
@@ -287,7 +310,9 @@ class CorrelationTable:
         self.Bm = np.empty(nblocks)
         self.Bp = np.empty(nblocks, dtype=np.intp)
         self.live = np.ones(m, dtype=bool)
-        self.X = _cross_correlations(self.W)
+        self._nfft = _fft_len(2 * self.lmax - 1)
+        self._spectra: np.ndarray | None = np.fft.rfft(self.W, self._nfft)
+        self.X = _cross_correlations(self._spectra, self.lmax)
         self._flat = self._padded.reshape(-1)  # T and its pad, for BLAS
         self._blocks = self._padded.reshape(nblocks, BLOCK * m)  # one row a block
         self._xflat = self.X.reshape(-1)
@@ -296,21 +321,37 @@ class CorrelationTable:
         self._block_starts = np.arange(nblocks) * (BLOCK * m)
         self._abs = np.empty((0, BLOCK * m))  # grows to one chunk or step's blocks
         self._penalty: np.ndarray | None = None  # scratch-sized, once an atom is dead
-        # Whole blocks whose window copy fits _WINDOW_ENTRIES, so each chunk's
-        # maxima are taken while the chunk is still in cache.
-        chunk = max(1, _WINDOW_ENTRIES // (self.lmax * BLOCK)) * BLOCK
+        # Chunks of whole blocks, so each chunk's maxima are taken while it
+        # is still in cache.
+        if self.lmax >= _OVERLAP_SAVE_LMAX:
+            # Overlap-save correlates by conj(rfft(W)), X's spectra conjugated.
+            np.conjugate(self._spectra, out=self._spectra)
+            chunk = (self._nfft - self.lmax + 1) // BLOCK * BLOCK
+        else:
+            self._spectra = None  # the matmul build does not read them
+            chunk = max(1, _WINDOW_ENTRIES // (self.lmax * BLOCK)) * BLOCK
         for lo in range(0, nrows, chunk):
             hi = min(lo + chunk, nrows) - 1
             self._recompute(lo, hi)
             self._update_maxima(lo, hi)
 
     def _recompute(self, lo: int, hi: int) -> None:
-        """Exact correlations at offsets lo..hi, zero past each atom's limit."""
+        """Exact correlations at offsets lo..hi, zero past each atom's limit.
+
+        On the overlap-save path lo..hi spans at most nfft - Lmax + 1
+        offsets, the rows of one segment's circular correlation that do
+        not wrap around.
+        """
         x = self.residual[lo : hi + self.lmax]
-        short = hi + self.lmax - self.n
-        if short > 0:
-            x = np.concatenate([x, np.zeros(short)])
-        _corr_rows(x, self.W, self.T[lo : hi + 1])
+        if self._spectra is None:
+            short = hi + self.lmax - self.n
+            if short > 0:
+                x = np.concatenate([x, np.zeros(short)])
+            _corr_rows(x, self.W, self.T[lo : hi + 1])
+        else:
+            nfft = self._nfft  # rfft zero-pads x past the residual's end
+            c = np.fft.irfft(np.fft.rfft(x, nfft) * self._spectra, nfft)
+            self.T[lo : hi + 1] = c[:, : hi + 1 - lo].T
         self._zero_tail(lo, hi)
 
     def _zero_tail(self, lo: int, hi: int) -> None:

@@ -81,6 +81,64 @@ def assert_index_bounds(table: CorrelationTable) -> None:
         assert blk[:, table.live].max(initial=-np.inf) <= table.Bm[b] <= blk.max()
 
 
+def check_chunked_build(lengths: tuple[int, ...], n: int, monkeypatch) -> None:
+    """Build a table in at least 3 chunks; T must equal np.correlate to
+    1e-12, zeros past each atom's limit, and Bm, Bp and best() a full scan."""
+    rng = np.random.default_rng(3019)
+    waveforms = [rng.standard_normal(L) for L in lengths]
+    waveforms = [w / np.linalg.norm(w) for w in waveforms]
+    residual = rng.standard_normal(n)
+    chunks = []
+    recompute = CorrelationTable._recompute
+
+    def spy(self, lo, hi):
+        chunks.append((lo, hi))
+        recompute(self, lo, hi)
+
+    monkeypatch.setattr(CorrelationTable, "_recompute", spy)
+    table = correlate_all(residual, waveforms)
+    spectral = max(lengths) >= pursuit._OVERLAP_SAVE_LMAX
+    assert (table._spectra is not None) == spectral
+    assert len(chunks) >= 3
+    A = np.abs(table.T)
+    assert len(A) % pursuit.BLOCK != 0
+    for i, w in enumerate(waveforms):
+        want = np.correlate(residual, w, mode="valid")
+        got = table.T[: len(want), i]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        assert not table.T[len(want) :, i].any()
+    blocks = [A[s : s + pursuit.BLOCK] for s in range(0, len(A), pursuit.BLOCK)]
+    np.testing.assert_array_equal(table.Bm, [blk.max() for blk in blocks])
+    np.testing.assert_array_equal(table.Bp, [blk.argmax() for blk in blocks])
+    top = A.max()
+    i, off = min((int(j), int(t)) for t, j in np.argwhere(A == top))
+    assert table.best() == (top, i, off)
+
+
+def deactivate_every_atom(length: int, n: int) -> bool:
+    """Deactivate 4 atoms, atom 2 ten times louder than the rest, one a
+    select; every select must agree with a full scan. Returns whether a
+    refresh grew the build's scratch, and with it the penalty tile."""
+    rng = np.random.default_rng(3021)
+    atoms = [w / np.linalg.norm(w) for w in rng.standard_normal((4, length))]
+    atoms[2] = 10.0 * atoms[2]
+    residual = rng.standard_normal(n)
+    table = correlate_all(residual, atoms)
+    built = len(table._abs)
+    assert np.count_nonzero(table.Bp % 4 == 2) >= len(table.Bm) - 1
+    for _ in range(4):
+        found = table.best()
+        assert found == brute_force_best(table)
+        assert_index_bounds(table)
+        _, i, off = found
+        table.deactivate(i)
+        psi, chi = [SparseEvent(i, off, 0.0)], [rng.uniform(0.5, 1.0)]
+        table.refresh(*update_residual(residual, psi, chi, atoms), psi, chi)
+        assert table._penalty.shape == table._abs.shape
+    assert table.best() is None
+    return len(table._abs) > built
+
+
 class TestLinalgModules:
     def test_blas_and_lapack_are_scipys_own_modules(self):
         code = (
@@ -191,6 +249,36 @@ class TestReferenceEquivalence:
                 code.residual, ref_residual, rtol=1e-9, atol=1e-12
             )
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_event_sequences_match_reference_with_overlap_save_build(self, variant):
+        """Atoms of 200-300 samples, at or past the crossover, on about 900
+        samples: the table is built by overlap-save FFT."""
+        for seed in range(3):
+            rng = np.random.default_rng((seed, 3024))
+            n = int(rng.integers(850, 951))
+            lengths = rng.integers(200, 301, 3)
+            assert lengths.max() >= pursuit._OVERLAP_SAVE_LMAX
+            waveforms = [rng.standard_normal(L) for L in lengths]
+            waveforms = [w / np.linalg.norm(w) for w in waveforms]
+            x = planted_signal(rng, waveforms, n, n_events=5)
+            x += 0.01 * rng.standard_normal(n)
+            p = 3.0 * len(waveforms) / n
+            cfg = PursuitConfig(variant=variant, p=p)
+            code = match(as_dictionary(waveforms), x, cfg)
+            ref_events, ref_residual = naive_match(waveforms, x, variant, p)
+            got = [(ev.atom_index, ev.offset) for ev in code.events]
+            want = [(ev["atom"], ev["offset"]) for ev in ref_events]
+            assert len(got) == 9
+            assert got == want, f"seed={seed} variant={variant}"
+            np.testing.assert_allclose(
+                [ev.coefficient for ev in code.events],
+                [ev["coeff"] for ev in ref_events],
+                rtol=1e-9,
+                atol=1e-12,
+            )
+            np.testing.assert_allclose(
+                code.residual, ref_residual, rtol=1e-9, atol=1e-12
+            )
 
     @pytest.mark.parametrize("variant", ["omp", "eomp"])
     def test_large_neighborhoods_match_reference(self, variant):
@@ -567,7 +655,7 @@ class TestCorrelationTable:
         for i, length in enumerate((lmax, lmax // 2, 7)):
             w = rng.standard_normal(length)
             W[i, :length] = w / np.linalg.norm(w)
-        X = pursuit._cross_correlations(W)
+        X = pursuit._cross_correlations(np.fft.rfft(W, nfft), lmax)
         assert X.shape == (3, 2 * lmax - 1, 3)
         for a in range(3):
             for i in range(3):
@@ -782,27 +870,20 @@ class TestCorrelationTable:
         assert table.best() == brute_force_best(table) == (2.0, 1, last)
 
     @pytest.mark.parametrize("length, n", [(9, 6 * pursuit.BLOCK + 20), (1100, 1400)])
-    def test_deactivating_an_atom_that_tops_many_blocks(self, length, n):
+    def test_deactivating_an_atom_that_tops_many_blocks(self, length, n, monkeypatch):
         """The search skips a dead atom's stale block maxima until all are dead.
 
-        At length 1100 the build's scratch holds one block, so the first
-        refresh after a deactivation grows it and its penalty tile.
+        At length 1100 the matmul build's scratch holds one block, so the
+        first refresh after a deactivation grows it and its penalty tile.
         """
-        rng = np.random.default_rng(3021)
-        atoms = [w / np.linalg.norm(w) for w in rng.standard_normal((4, length))]
-        atoms[2] = 10.0 * atoms[2]
-        residual = rng.standard_normal(n)
-        table = correlate_all(residual, atoms)
-        assert np.count_nonzero(table.Bp % 4 == 2) >= len(table.Bm) - 1
-        for _ in range(4):
-            found = table.best()
-            assert found == brute_force_best(table)
-            assert_index_bounds(table)
-            _, i, off = found
-            table.deactivate(i)
-            psi, chi = [SparseEvent(i, off, 0.0)], [rng.uniform(0.5, 1.0)]
-            table.refresh(*update_residual(residual, psi, chi, atoms), psi, chi)
-        assert table.best() is None
+        monkeypatch.setattr(pursuit, "_OVERLAP_SAVE_LMAX", sys.maxsize)
+        assert deactivate_every_atom(length, n) == (length == 1100)
+
+    def test_deactivating_after_an_overlap_save_build(self):
+        """At length 1100 the spectral build's scratch holds 17 blocks and a
+        refresh reaches at least 18, so it grows after a deactivation."""
+        assert 1100 >= pursuit._OVERLAP_SAVE_LMAX
+        assert deactivate_every_atom(1100, 1100 + 40 * pursuit.BLOCK)
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_maxima_index_matches_brute_force_every_step(self, variant, monkeypatch):
@@ -862,51 +943,41 @@ class TestCorrelationTable:
         [((7, 1100, 300, 1100), 1400), ((5, 100, 37, 100), 30 * pursuit.BLOCK + 90)],
     )
     def test_chunked_build_matches_brute_force(self, lengths, n, monkeypatch):
-        """A build over several chunks equals direct correlation and search.
+        """A matmul build over several chunks equals direct correlation and
+        search; at Lmax 1100 each chunk is one block.
 
         Offsets past n - 1100 (or n - 100) lie beyond the long atoms' limit,
         and the row count is not a multiple of the block size.
         """
-        rng = np.random.default_rng(3019)
-        waveforms = [rng.standard_normal(L) for L in lengths]
-        waveforms = [w / np.linalg.norm(w) for w in waveforms]
-        residual = rng.standard_normal(n)
-        chunks = []
-        recompute = CorrelationTable._recompute
+        monkeypatch.setattr(pursuit, "_OVERLAP_SAVE_LMAX", sys.maxsize)
+        check_chunked_build(lengths, n, monkeypatch)
 
-        def spy(self, lo, hi):
-            chunks.append((lo, hi))
-            recompute(self, lo, hi)
-
-        monkeypatch.setattr(CorrelationTable, "_recompute", spy)
-        table = correlate_all(residual, waveforms)
-        assert len(chunks) >= 3
-        A = np.abs(table.T)
-        assert len(A) % pursuit.BLOCK != 0
-        for i, w in enumerate(waveforms):
-            want = np.correlate(residual, w, mode="valid")
-            got = table.T[: len(want), i]
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
-            assert not table.T[len(want) :, i].any()
-        blocks = [A[s : s + pursuit.BLOCK] for s in range(0, len(A), pursuit.BLOCK)]
-        np.testing.assert_array_equal(table.Bm, [blk.max() for blk in blocks])
-        np.testing.assert_array_equal(table.Bp, [blk.argmax() for blk in blocks])
-        top = A.max()
-        i, off = min((int(j), int(t)) for t, j in np.argwhere(A == top))
-        assert table.best() == (top, i, off)
+    @pytest.mark.parametrize(
+        "lengths, n",
+        [((7, 1100, 300, 1100), 3400), ((5, 100, 37, 100), 30 * pursuit.BLOCK + 90)],
+    )
+    def test_overlap_save_build_matches_brute_force(self, lengths, n, monkeypatch):
+        """The same for the spectral build: 17-block chunks at Lmax 1100,
+        and one-block chunks when Lmax 100 is sent down that path."""
+        monkeypatch.setattr(pursuit, "_OVERLAP_SAVE_LMAX", pursuit.BLOCK)
+        check_chunked_build(lengths, n, monkeypatch)
 
     def test_build_holds_no_full_size_copy(self):
-        """Beyond T and X, building a table allocates less than half of T."""
+        """Beyond T and X, building a table allocates less than half of T,
+        by matmul (atoms of 100) and by overlap-save (atoms of 512)."""
         rng = np.random.default_rng(3020)
-        waveforms = [w / np.linalg.norm(w) for w in rng.standard_normal((32, 100))]
-        x = rng.standard_normal(16384)
-        tracemalloc.start()
-        try:
-            table = correlate_all(x, waveforms)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak - table.T.nbytes - table.X.nbytes < table.T.nbytes / 2
+        for length, spectral in ((100, False), (512, True)):
+            atoms = rng.standard_normal((32, length))
+            waveforms = [w / np.linalg.norm(w) for w in atoms]
+            x = rng.standard_normal(16384)
+            tracemalloc.start()
+            try:
+                table = correlate_all(x, waveforms)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert (table._spectra is not None) == spectral
+            assert peak - table.T.nbytes - table.X.nbytes < table.T.nbytes / 2
 
     def test_atom_longer_than_window_rejected(self):
         with pytest.raises(ValueError):
