@@ -155,6 +155,8 @@ def _cpu_model() -> str:
 
 
 def cmd_learn(args) -> int:
+    if args.checkpoint_dir is not None and args.checkpoint_every == 0:
+        raise ValueError("--checkpoint-dir needs --checkpoint-every > 0")
     sig = _load_input(args)
     cfg = LearnConfig(
         m=args.atoms,
@@ -237,59 +239,47 @@ def cmd_eval(args) -> int:
         "analysis": args.analysis,
         "p": args.p,
     }
-    variants = args.variants.split(",") if args.variants else list(VARIANTS)
     # Every variant is checked before the first pursuit runs.
-    cfgs = [PursuitConfig(variant=v, p=args.p) for v in variants]
+    cfgs = [
+        PursuitConfig(variant=v, p=args.p, iteration_budget=args.iters)
+        for v in args.variants.split(",")
+    ]
 
+    rows = []
     if args.analysis == "entropy":
-        rows = []
         for cfg in cfgs:
             code = match(dictionary, sig, cfg)
-            row = [
-                cfg.variant,
-                len(code.events),
-                f"{index_entropy(code, m):.6f}",
-            ]
-            row += [
-                f"{coeff_entropy(code, bins):.6f}" for bins in HISTOGRAM_BIN_COUNTS
-            ]
+            row = [cfg.variant, len(code.events), f"{index_entropy(code, m):.6f}"]
+            row += [f"{coeff_entropy(code, b):.6f}" for b in HISTOGRAM_BIN_COUNTS]
             rows.append(row)
-        columns = ["variant", "events", "index_entropy_bits"] + [
-            f"coeff_entropy_{b}" for b in HISTOGRAM_BIN_COUNTS
-        ]
-        write_table(args.out, columns, rows, header)
-    elif args.analysis in ("rates", "histograms"):
-        cfg = PursuitConfig(variant=args.variant, p=args.p, iteration_budget=args.iters)
-        code = match(dictionary, sig, cfg)
-        if args.analysis == "rates":
-            rates = event_rates(code, sig.sample_rate, m)
-            rows = [(i, f"{r:.6f}") for i, r in rates_table(rates)]
-            write_table(args.out, ["atom_index", "events_per_second"], rows, header)
-        else:
-            header["index_entropy_bits"] = f"{index_entropy(code, m):.6f}"
-            rows = []
+        columns = ["variant", "events", "index_entropy_bits"]
+        columns += [f"coeff_entropy_{b}" for b in HISTOGRAM_BIN_COUNTS]
+    elif args.analysis == "rates":
+        for cfg in cfgs:
+            rates = event_rates(match(dictionary, sig, cfg), sig.sample_rate, m)
+            rows += [(cfg.variant, i, f"{r:.6f}") for i, r in rates_table(rates)]
+        columns = ["variant", "atom_index", "events_per_second"]
+    elif args.analysis == "histograms":
+        for cfg in cfgs:
+            code = match(dictionary, sig, cfg)
             for bins in HISTOGRAM_BIN_COUNTS:
                 hist = coeff_histogram(code, bins)
-                rows += [(bins, b, int(count)) for b, count in enumerate(hist)]
-                header[f"coeff_entropy_{bins}"] = f"{coeff_entropy(code, bins):.6f}"
-            write_table(args.out, ["bins", "bin_index", "count"], rows, header)
+                rows += [(cfg.variant, bins, b, int(c)) for b, c in enumerate(hist)]
+        columns = ["variant", "bins", "bin_index", "count"]
     elif args.analysis == "denoise":
         ratios = _csv_list(args.ratios, float)
-        rows = []
         for cfg in cfgs:
-            for ratio, snr in denoise_sweep(
-                dictionary, sig, ratios, cfg, noise_seed=args.noise_seed
-            ):
-                rows.append((cfg.variant, ratio, f"{clamp_db(snr):.2f}"))
+            sweep = denoise_sweep(dictionary, sig, ratios, cfg, args.noise_seed)
+            rows += [(cfg.variant, r, f"{clamp_db(snr):.2f}") for r, snr in sweep]
         header["noise_seed"] = args.noise_seed
-        write_table(args.out, ["variant", "noise_ratio", "snr_db"], rows, header)
+        columns = ["variant", "noise_ratio", "snr_db"]
     elif args.analysis == "psweep":
         p_values = _parse_grid(args.p_grid)
-        rows = [
-            (f"{p:.4f}", f"{clamp_db(snr):.2f}")
-            for p, snr in p_sweep(dictionary, sig, p_values, variant=args.variant)
-        ]
-        write_table(args.out, ["p", "snr_db"], rows, header)
+        for cfg in cfgs:
+            sweep = p_sweep(dictionary, sig, p_values, cfg)
+            rows += [(cfg.variant, f"{p:.4f}", f"{clamp_db(s):.2f}") for p, s in sweep]
+        columns = ["variant", "p", "snr_db"]
+    write_table(args.out, columns, rows, header)
     print(f"csv={args.out}")
     return EXIT_OK
 
@@ -353,7 +343,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_learn.add_argument("--carry-residual", action="store_true")
     p_learn.add_argument("--checkpoint-every", type=int, default=learn.checkpoint_every)
-    p_learn.add_argument("--checkpoint-dir", help="default: the directory of --out")
+    p_learn.add_argument(
+        "--checkpoint-dir", help="needs --checkpoint-every; default: --out's directory"
+    )
     p_learn.add_argument("--trace", default=None)
     p_learn.add_argument("--out", required=True, help="dictionary file to write")
     p_learn.set_defaults(func=cmd_learn)
@@ -386,10 +378,17 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=("entropy", "rates", "histograms", "denoise", "psweep"),
     )
-    p_eval.add_argument("--variant", choices=VARIANTS, default=PursuitConfig.variant)
-    p_eval.add_argument("--variants", default=None, help="comma list for entropy/denoise")
-    p_eval.add_argument("--p", type=float, default=PursuitConfig.p)
-    p_eval.add_argument("--iters", type=int, default=None)
+    p_eval.add_argument(
+        "--variants", default=",".join(VARIANTS),
+        help="comma list, default %(default)s; every analysis runs each",
+    )
+    p_eval.add_argument(
+        "--p", type=float, default=PursuitConfig.p,
+        help="default %(default)s; psweep replaces it with each --p-grid value",
+    )
+    p_eval.add_argument(
+        "--iters", type=int, help="cap on every pursuit; mp/omp default: M*floor(p*N/M)"
+    )
     p_eval.add_argument("--ratios", default="0.05,0.1,0.2,0.3")
     p_eval.add_argument("--noise-seed", type=int, default=0)
     p_eval.add_argument("--p-grid", default="0.01:0.01:0.10")
@@ -402,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_prof.add_argument("--atom-len", type=int, default=128)
     p_prof.add_argument("--seed", type=int, default=0)
     p_prof.add_argument("--windows", default="8192,32768,131072")
-    p_prof.add_argument("--p", type=float, default=0.05)
+    p_prof.add_argument("--p", type=float, default=PursuitConfig.p)
     p_prof.add_argument("--repeats", type=int, default=3)
     p_prof.add_argument("--out", required=True)
     p_prof.set_defaults(func=cmd_profile)

@@ -45,7 +45,6 @@ class Atom:
     """One shift-invariant waveform; unit ℓ2 norm after any extnorm call."""
 
     waveform: np.ndarray
-    pad_len: int = TAIL_LEN
 
     def __post_init__(self) -> None:
         self.waveform = np.asarray(self.waveform, dtype=np.float64)
@@ -57,9 +56,7 @@ class Atom:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Atom):
             return NotImplemented
-        return self.pad_len == other.pad_len and np.array_equal(
-            self.waveform, other.waveform
-        )
+        return np.array_equal(self.waveform, other.waveform)
 
 
 @dataclass(eq=False)
@@ -73,8 +70,6 @@ class Dictionary:
     def __post_init__(self) -> None:
         if len(self.atoms) < 1:
             raise ValueError("dictionary needs at least one atom")
-        if len({a.pad_len for a in self.atoms}) > 1:
-            raise ValueError("atoms' pad_len differ; a dictionary file stores one")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dictionary):
@@ -99,11 +94,11 @@ def _non_unit_atom(d: Dictionary) -> int | None:
     return None
 
 
-def _random_atom(rng: np.random.Generator, pad_len: int = TAIL_LEN) -> Atom:
+def _random_atom(rng: np.random.Generator) -> Atom:
     body = rng.standard_normal(INIT_BODY_LEN)
     w = np.concatenate([np.zeros(TAIL_LEN), body, np.zeros(TAIL_LEN)])
     w /= np.linalg.norm(w)
-    return Atom(w, pad_len=pad_len)
+    return Atom(w)
 
 
 def randdict(
@@ -128,9 +123,9 @@ def randdict(
 
 
 def extnorm(atom: Atom, max_len: int | None = None) -> Atom:
-    """Grow loud tails by pad_len zeros per side, then unit-normalize.
+    """Grow loud tails by TAIL_LEN zeros per side, then unit-normalize.
 
-    A side grows when the RMS of its outermost pad_len samples exceeds
+    A side grows when the RMS of its outermost TAIL_LEN samples exceeds
     TAIL_RMS_RATIO times the whole-atom RMS, unless growth would exceed
     max_len. Raises ZeroAtomError for an all-zero waveform.
     """
@@ -140,21 +135,20 @@ def extnorm(atom: Atom, max_len: int | None = None) -> Atom:
     if norm == 0.0:
         raise ZeroAtomError("all-zero atom cannot be normalized")
 
-    pad = atom.pad_len
     length = len(w)
     threshold = TAIL_RMS_RATIO * (norm / math.sqrt(length))
-    grow_left = length > pad and _rms(w[:pad]) > threshold
-    grow_right = length > pad and _rms(w[-pad:]) > threshold
+    grow_left = length > TAIL_LEN and _rms(w[:TAIL_LEN]) > threshold
+    grow_right = length > TAIL_LEN and _rms(w[-TAIL_LEN:]) > threshold
 
-    if grow_left and (max_len is None or length + pad <= max_len):
-        w = np.concatenate([np.zeros(pad), w])
-        length += pad
-    if grow_right and (max_len is None or length + pad <= max_len):
-        w = np.concatenate([w, np.zeros(pad)])
-        length += pad
+    if grow_left and (max_len is None or length + TAIL_LEN <= max_len):
+        w = np.concatenate([np.zeros(TAIL_LEN), w])
+        length += TAIL_LEN
+    if grow_right and (max_len is None or length + TAIL_LEN <= max_len):
+        w = np.concatenate([w, np.zeros(TAIL_LEN)])
+        length += TAIL_LEN
     if length > len(atom.waveform):
         norm = math.sqrt(w.dot(w))
-    return Atom(w / norm, pad_len=pad)
+    return Atom(w / norm)
 
 
 def _rms(x: np.ndarray) -> float:
@@ -178,7 +172,7 @@ def save_dict(d: Dictionary, path) -> None:
         "format_version": _FORMAT_VERSION,
         "m": len(d.atoms),
         "sample_rate_hint": d.sample_rate_hint,
-        "pad_len": d.atoms[0].pad_len,
+        "pad_len": TAIL_LEN,  # not read back; kept so the file format is unchanged
         "provenance": d.provenance,
         "atoms": [a.waveform.tolist() for a in d.atoms],
     }
@@ -190,7 +184,8 @@ def save_dict(d: Dictionary, path) -> None:
 def load_dict(path) -> Dictionary:
     """Read a dictionary written by save_dict; structured errors on bad files.
 
-    Atoms must be unit norm to within UNIT_NORM_TOL.
+    The header needs an integer m >= 1 and a null or integer >= 1
+    sample_rate_hint. Atoms must be unit norm to within UNIT_NORM_TOL.
     """
     try:
         with open(path) as fh:
@@ -205,20 +200,18 @@ def load_dict(path) -> Dictionary:
         raise DataFormatError(
             f"unsupported dictionary format version {doc.get('format_version')!r}"
         )
+    m, rate = doc.get("m"), doc.get("sample_rate_hint")
+    if type(m) is not int or m < 1:  # bool is an int subclass; type() rejects it
+        raise DataFormatError(f"bad atom count m={m!r} in {path!r}")
+    if rate is not None and (type(rate) is not int or rate < 1):
+        raise DataFormatError(f"bad sample_rate_hint {rate!r} in {path!r}")
     try:
-        pad_len = int(doc["pad_len"])
-        atoms = [
-            Atom(np.asarray(w, dtype=np.float64), pad_len=pad_len)
-            for w in doc["atoms"]
-        ]
-        d = Dictionary(
-            atoms,
-            sample_rate_hint=doc.get("sample_rate_hint"),
-            provenance=doc.get("provenance", ""),
-        )
+        atoms = [Atom(np.asarray(w, dtype=np.float64)) for w in doc["atoms"]]
+        provenance = doc.get("provenance", "")
+        d = Dictionary(atoms, sample_rate_hint=rate, provenance=provenance)
     except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"bad dictionary contents in {path!r}: {exc}") from exc
-    if int(doc["m"]) != len(d.atoms):
+    if m != len(d.atoms):
         raise DataFormatError(f"atom count mismatch in {path!r}")
     bad = _non_unit_atom(d)
     if bad is not None:

@@ -137,10 +137,11 @@ def apply_update(
 ) -> Dictionary:
     """One gradient step on every atom the code selected.
 
-    Each touched atom becomes extnorm(phi + eta * g / var(residual)); the
-    variance estimate is floored at 1e-12. An atom driven to exactly zero
-    is replaced with a fresh random atom, keeping its pad_len, when an rng
-    is supplied, else the degeneracy propagates.
+    Each touched atom becomes extnorm(phi + eta * g / var(residual)), so it
+    may grow by TAIL_LEN zeros per side up to max_atom_len; the variance
+    estimate is floored at 1e-12. An atom driven to exactly zero is
+    replaced with a fresh random atom when an rng is supplied, else the
+    degeneracy propagates.
     """
     if eta < 0:
         raise ValueError("eta must be >= 0")
@@ -154,13 +155,13 @@ def apply_update(
         if i not in touched:
             new_atoms.append(atom)
             continue
-        stepped = Atom(atom.waveform + (eta / var) * grads[i], pad_len=atom.pad_len)
+        stepped = Atom(atom.waveform + (eta / var) * grads[i])
         try:
             new_atoms.append(extnorm(stepped, max_len=max_atom_len))
         except ZeroAtomError:
             if rng is None:
                 raise
-            new_atoms.append(_random_atom(rng, atom.pad_len))
+            new_atoms.append(_random_atom(rng))
     return Dictionary(
         atoms=new_atoms,
         sample_rate_hint=dictionary.sample_rate_hint,

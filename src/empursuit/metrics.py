@@ -8,6 +8,7 @@ CLI serializes as CSV with commented headers.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import functools
 import math
 import os
@@ -152,13 +153,12 @@ def p_sweep(
     dictionary: Dictionary,
     x: Signal,
     p_values: list[float],
-    variant: str = "emp",
+    cfg: PursuitConfig,
 ) -> list[tuple[float, float]]:
-    """Reconstruction SNR of the signal encoded at each selection probability."""
+    """Reconstruction SNR of the signal encoded with cfg at each p in p_values."""
     rows: list[tuple[float, float]] = []
     for p in p_values:
-        cfg = PursuitConfig(variant=variant, p=float(p))
-        code = match(dictionary, x, cfg)
+        code = match(dictionary, x, dataclasses.replace(cfg, p=float(p)))
         approx = reconstruct(code, dictionary)
         rows.append((float(p), snr_db(x.samples, approx)))
     return rows

@@ -178,8 +178,8 @@ def synth_signal(
     Each placement is (atom index, offset, amplitude) and must keep the
     atom's full support inside [0, length).
     """
-    if noise_sigma < 0:
-        raise ValueError("noise_sigma must be >= 0")
+    if not noise_sigma >= 0:
+        raise ValueError(f"noise_sigma must be >= 0, got {noise_sigma}")
     out = np.zeros(length, dtype=np.float64)
     for idx, offset, amp in placements:
         w = waveforms[idx]
@@ -280,32 +280,42 @@ def build_synth_signal(cfg: dict) -> tuple[Signal, list[np.ndarray]]:
                    events at uniform offsets, with amplitudes uniform in
                    [amp_min, amp_max] and a random sign (the default kind),
                    or {"kind": "explicit", "events": [[atom, offset, amp], ...]}
+
+    Raises DataFormatError for a malformed config: a missing or mistyped
+    key, an all-zero atom, an event on an atom that does not exist or
+    outside the signal, or a rate or noise level that is negative or NaN.
     """
     try:
-        length = int(cfg["length"])
-        sample_rate = int(cfg.get("sample_rate", 16000))
-        seed = int(cfg.get("seed", 0))
-        noise_sigma = float(cfg.get("noise_sigma", 0.0))
-        atoms_cfg = cfg["atoms"]
-        placements_cfg = cfg["placements"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataFormatError(f"bad synthetic-signal config: {exc}") from exc
+        return _synth_from_config(cfg)
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise DataFormatError(f"bad synthetic-signal config: {exc!r}") from exc
 
-    if atoms_cfg.get("kind", "gaussian") == "gaussian":
+
+def _synth_from_config(cfg: dict) -> tuple[Signal, list[np.ndarray]]:
+    length = int(cfg["length"])
+    sample_rate = int(cfg.get("sample_rate", 16000))
+    seed = int(cfg.get("seed", 0))
+    noise_sigma = float(cfg.get("noise_sigma", 0.0))
+    atoms_cfg = cfg["atoms"]
+    placements_cfg = cfg["placements"]
+
+    kind = atoms_cfg.get("kind", "gaussian")
+    if kind == "gaussian":
         rng = np.random.default_rng((seed, 1))
-        count = int(atoms_cfg["count"])
-        alen = int(atoms_cfg["length"])
-        waveforms = []
-        for _ in range(count):
-            w = rng.standard_normal(alen)
-            waveforms.append(w / np.linalg.norm(w))
-    elif atoms_cfg["kind"] == "explicit":
-        waveforms = []
-        for w in atoms_cfg["waveforms"]:
-            w = np.asarray(w, dtype=np.float64)
-            waveforms.append(w / np.linalg.norm(w))
+        count, alen = int(atoms_cfg["count"]), int(atoms_cfg["length"])
+        raw = [rng.standard_normal(alen) for _ in range(count)]
+    elif kind == "explicit":
+        raw = [np.asarray(w, dtype=np.float64) for w in atoms_cfg["waveforms"]]
     else:
-        raise DataFormatError(f"unknown atoms kind {atoms_cfg.get('kind')!r}")
+        raise DataFormatError(f"unknown atoms kind {kind!r}")
+    if not raw:
+        raise ValueError("no hidden atoms")
+    waveforms = []
+    for idx, w in enumerate(raw):
+        norm = np.linalg.norm(w)
+        if not 0 < norm < np.inf:
+            raise ValueError(f"hidden atom {idx} has norm {norm}")
+        waveforms.append(w / norm)
 
     kind = placements_cfg.get("kind", "poisson")
     if kind == "poisson":
@@ -329,15 +339,11 @@ def build_synth_signal(cfg: dict) -> tuple[Signal, list[np.ndarray]]:
         placements = [
             (int(i), int(o), float(a)) for i, o, a in placements_cfg["events"]
         ]
+        for i, _, _ in placements:
+            if not 0 <= i < len(waveforms):
+                raise ValueError(f"event on atom {i} of {len(waveforms)}")
     else:
         raise DataFormatError(f"unknown placements kind {kind!r}")
 
-    sig = synth_signal(
-        waveforms,
-        placements,
-        length,
-        noise_sigma=noise_sigma,
-        seed=(seed, 3),
-        sample_rate=sample_rate,
-    )
+    sig = synth_signal(waveforms, placements, length, noise_sigma, (seed, 3), sample_rate)
     return sig, waveforms

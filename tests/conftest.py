@@ -15,7 +15,7 @@ def tiny_dict() -> Dictionary:
     atoms = []
     for length in (5, 8, 8):
         w = rng.standard_normal(length)
-        atoms.append(Atom(w / np.linalg.norm(w), pad_len=2))
+        atoms.append(Atom(w / np.linalg.norm(w)))
     return Dictionary(atoms=atoms, sample_rate_hint=8000, provenance="fixture")
 
 

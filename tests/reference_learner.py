@@ -11,7 +11,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from empursuit.dictionary import TAIL_RMS_RATIO, Atom, Dictionary, _random_atom
+from empursuit.dictionary import (
+    TAIL_LEN,
+    TAIL_RMS_RATIO,
+    Atom,
+    Dictionary,
+    _random_atom,
+)
 from empursuit.errors import ZeroAtomError
 from empursuit.learner import RESIDUAL_VAR_FLOOR
 
@@ -34,12 +40,12 @@ def _rms(x: np.ndarray) -> float:
 
 
 def loop_extnorm(atom: Atom, max_len: int | None = None) -> Atom:
-    """Grow each loud tail by pad_len zeros, cap permitting, then normalize."""
+    """Grow each loud tail by TAIL_LEN zeros, cap permitting, then normalize."""
     w = atom.waveform
     norm = float(np.linalg.norm(w))
     if norm == 0.0:
         raise ZeroAtomError("all-zero atom cannot be normalized")
-    pad = atom.pad_len
+    pad = TAIL_LEN
     threshold = TAIL_RMS_RATIO * (norm / np.sqrt(len(w)))
     grow_left = len(w) > pad and _rms(w[:pad]) > threshold
     grow_right = len(w) > pad and _rms(w[-pad:]) > threshold
@@ -50,7 +56,7 @@ def loop_extnorm(atom: Atom, max_len: int | None = None) -> Atom:
     if grow_right and (max_len is None or length + pad <= max_len):
         w = np.concatenate([w, np.zeros(pad)])
         length += pad
-    return Atom(w / np.linalg.norm(w), pad_len=pad)
+    return Atom(w / np.linalg.norm(w))
 
 
 def loop_update(
@@ -64,13 +70,13 @@ def loop_update(
             new_atoms.append(atom)
             continue
         g = loop_gradient(code, i, len(atom.waveform))
-        stepped = Atom(atom.waveform + (eta / var) * g, pad_len=atom.pad_len)
+        stepped = Atom(atom.waveform + (eta / var) * g)
         try:
             new_atoms.append(loop_extnorm(stepped, max_len=max_atom_len))
         except ZeroAtomError:
             if rng is None:
                 raise
-            new_atoms.append(_random_atom(rng, atom.pad_len))
+            new_atoms.append(_random_atom(rng))
     return Dictionary(
         atoms=new_atoms,
         sample_rate_hint=dictionary.sample_rate_hint,

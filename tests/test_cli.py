@@ -27,7 +27,7 @@ from empursuit.cli import (
 )
 from empursuit.dictionary import load_dict, randdict, save_dict
 from empursuit.learner import LearnConfig
-from empursuit.pursuit import PursuitConfig, load_code, reconstruct
+from empursuit.pursuit import VARIANTS, PursuitConfig, load_code, reconstruct
 from empursuit.signal_io import load_wav
 
 
@@ -180,6 +180,19 @@ class TestLearnCommand:
         assert "directory" in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == ["synth.json"]
 
+    def test_checkpoint_dir_without_checkpoint_every_rejected(
+        self, tmp_path, synth_cfg, capsys
+    ):
+        """A checkpoint directory that no checkpoint would use is an error."""
+        out = str(tmp_path / "d.json")
+        argv = [
+            "learn", "--synth", synth_cfg, "--atoms", "3", "--blocks", "1",
+            "--block-len", "1000", "--checkpoint-dir", str(tmp_path), "--out", out,
+        ]
+        assert main(argv) == EXIT_USAGE
+        assert "--checkpoint-dir needs --checkpoint-every" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["synth.json"]
+
     def test_defaults_come_from_the_configs(self):
         parser = build_parser()
         learn = parser.parse_args(["learn", "--synth", "s.json", "--out", "d.json"])
@@ -189,13 +202,17 @@ class TestLearnCommand:
             learn.checkpoint_every,
         ) == (cfg.m, cfg.p, cfg.eta, cfg.variant, cfg.seed, cfg.checkpoint_every)
         pursuit = PursuitConfig()
-        for command in (
-            ["encode", "--synth", "s.json", "--dict", "d.json", "--out", "x.code"],
+        encode = parser.parse_args(
+            ["encode", "--synth", "s.json", "--dict", "d.json", "--out", "x.code"]
+        )
+        assert (encode.p, encode.variant) == (pursuit.p, pursuit.variant)
+        evaluate = parser.parse_args(
             ["eval", "--synth", "s.json", "--dict", "d.json", "--analysis", "rates",
-             "--out", "x.csv"],
-        ):
-            args = parser.parse_args(command)
-            assert (args.p, args.variant) == (pursuit.p, pursuit.variant)
+             "--out", "x.csv"]
+        )
+        assert (evaluate.p, evaluate.variants) == (pursuit.p, ",".join(VARIANTS))
+        profile = parser.parse_args(["profile", "--out", "x.csv"])
+        assert profile.p == pursuit.p
 
 
 class TestEncodeCommand:
@@ -332,8 +349,11 @@ class TestReconstructCommand:
         assert load_code(code_path).dict_digest is None
 
 
+ANALYSES = ["entropy", "denoise", "rates", "histograms", "psweep"]
+
+
 class TestEvalCommand:
-    @pytest.mark.parametrize("analysis", ["entropy", "denoise"])
+    @pytest.mark.parametrize("analysis", ANALYSES)
     def test_unknown_variant_rejected_before_any_pursuit(
         self, tmp_path, synth_cfg, dict_path, monkeypatch, analysis
     ):
@@ -389,10 +409,11 @@ class TestEvalCommand:
             == EXIT_OK
         )
         _, columns, rows = read_table(out)
-        assert columns == ["atom_index", "events_per_second"]
-        assert len(rows) == 4
-        values = [float(r[1]) for r in rows]
-        assert values == sorted(values, reverse=True)
+        assert columns == ["variant", "atom_index", "events_per_second"]
+        assert [r[0] for r in rows] == [v for v in VARIANTS for _ in range(4)]
+        for v in VARIANTS:
+            values = [float(r[2]) for r in rows if r[0] == v]
+            assert values == sorted(values, reverse=True)
 
     def test_histograms_table(self, tmp_path, synth_cfg, dict_path):
         out = str(tmp_path / "hist.csv")
@@ -406,9 +427,11 @@ class TestEvalCommand:
             == EXIT_OK
         )
         header, columns, rows = read_table(out)
-        assert columns == ["bins", "bin_index", "count"]
-        assert len(rows) == 16 + 32 + 64
-        assert "coeff_entropy_16" in header and "index_entropy_bits" in header
+        assert columns == ["variant", "bins", "bin_index", "count"]
+        per_variant = 16 + 32 + 64
+        assert [r[0] for r in rows] == [v for v in VARIANTS for _ in range(per_variant)]
+        # The entropies are the entropy analysis's to report.
+        assert not any("entropy" in key for key in header)
 
     def test_single_atom_index_entropy_prints_positive_zero(
         self, tmp_path, synth_cfg, dict_path
@@ -416,12 +439,12 @@ class TestEvalCommand:
         out = str(tmp_path / "hist.csv")
         flags = [
             "eval", "--synth", synth_cfg, "--dict", dict_path,
-            "--analysis", "histograms", "--variant", "mp", "--iters", "1",
+            "--analysis", "entropy", "--variants", "mp", "--iters", "1",
             "--out", out,
         ]
         assert main(flags) == EXIT_OK
-        header, _, _ = read_table(out)
-        assert header["index_entropy_bits"] == "0.000000"
+        _, columns, rows = read_table(out)
+        assert [r[:3] for r in rows] == [["mp", "1", "0.000000"]]
 
     def test_denoise_table(self, tmp_path, synth_cfg, dict_path):
         out = str(tmp_path / "denoise.csv")
@@ -456,8 +479,46 @@ class TestEvalCommand:
             == EXIT_OK
         )
         _, columns, rows = read_table(out)
-        assert columns == ["p", "snr_db"]
-        assert [r[0] for r in rows] == ["0.0200", "0.0400", "0.0600"]
+        assert columns == ["variant", "p", "snr_db"]
+        assert [(r[0], r[1]) for r in rows] == [
+            (v, p) for v in VARIANTS for p in ("0.0200", "0.0400", "0.0600")
+        ]
+
+    @pytest.mark.parametrize("analysis", ANALYSES)
+    def test_every_analysis_applies_variants_and_iters(
+        self, tmp_path, synth_cfg, dict_path, monkeypatch, analysis
+    ):
+        calls = []
+
+        def recording_match(dictionary, x, cfg):
+            calls.append((cfg.variant, cfg.iteration_budget, cfg.p))
+            return empursuit.pursuit.match(dictionary, x, cfg)
+
+        monkeypatch.setattr(empursuit.cli, "match", recording_match)
+        monkeypatch.setattr(empursuit.metrics, "match", recording_match)
+        out = str(tmp_path / f"{analysis}.csv")
+        argv = [
+            "eval", "--synth", synth_cfg, "--dict", dict_path, "--analysis", analysis,
+            "--variants", "mp,emp", "--iters", "5", "--p-grid", "0.04:0.02:0.06",
+            "--ratios", "0.1", "--out", out,
+        ]
+        assert main(argv) == EXIT_OK
+        grid = [0.04, 0.06] if analysis == "psweep" else [0.05]
+        assert calls == [(v, 5, pytest.approx(p)) for v in ("mp", "emp") for p in grid]
+        _, columns, rows = read_table(out)
+        assert columns[0] == "variant"
+        column = [r[0] for r in rows]
+        assert column == sorted(column, key=["mp", "emp"].index)  # mp's rows first
+        assert set(column) == {"mp", "emp"}
+        if analysis in ("rates", "histograms"):
+            # Each variant's counts add up to its 5 events.
+            duration = 2000 / 8000
+            for v in ("mp", "emp"):
+                if analysis == "rates":
+                    total = sum(float(r[2]) for r in rows if r[0] == v) * duration
+                else:
+                    total = sum(int(r[3]) for r in rows if r[0] == v and r[1] == "16")
+                assert total == pytest.approx(5)
 
 
 class TestProfileCommand:
@@ -653,6 +714,69 @@ class TestExitCodes:
             ]
         )
         assert code == EXIT_DATA
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            {"atoms": {"length": 10}},
+            {"placements": {}},
+            {"atoms": [1, 2]},
+            {"placements": {"kind": "explicit", "events": [[7, 0, 1.0]]}},
+            {"placements": {"kind": "explicit", "events": [[-1, 0, 1.0]]}},
+            {"placements": {"kind": "explicit", "events": [[0, 1999, 1.0]]}},
+            {"atoms": {"kind": "explicit", "waveforms": [[0.0, 0.0]]}},
+            {"placements": {"rate": float("nan")}},
+            {"noise_sigma": -0.1},
+            {"noise_sigma": float("nan")},
+        ],
+        ids=[
+            "no-count", "no-rate", "atoms-list", "event-atom-7", "event-atom-negative",
+            "event-past-end", "zero-waveform", "nan-rate", "negative-noise", "nan-noise",
+        ],
+    )
+    def test_malformed_synth_config_is_data_exit(
+        self, tmp_path, dict_path, capsys, cfg
+    ):
+        base = {
+            "length": 2000, "sample_rate": 8000,
+            "atoms": {"kind": "explicit", "waveforms": [[1.0, 0.5]]},
+            "placements": {"rate": 0.01},
+        }
+        synth = write_json(tmp_path / "bad.json", {**base, **cfg})
+        out = str(tmp_path / "x.code")
+        argv = ["encode", "--synth", synth, "--dict", dict_path, "--out", out]
+        assert main(argv) == EXIT_DATA
+        assert "bad synthetic-signal config" in capsys.readouterr().err
+        assert not os.path.exists(out) and not os.path.exists(out + ".run.json")
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            {"m": None},
+            {"m": "x"},
+            {"m": 0},
+            {"sample_rate_hint": -5},
+            {"sample_rate_hint": "abc"},
+            {"sample_rate_hint": 0},
+        ],
+        ids=["no-m", "m-text", "m-0", "rate-negative", "rate-text", "rate-0"],
+    )
+    def test_bad_dictionary_header_is_data_exit(
+        self, tmp_path, synth_cfg, header
+    ):
+        doc = {
+            "format": "empursuit-dict", "format_version": 1, "m": 1,
+            "sample_rate_hint": 8000, "pad_len": 10, "provenance": "",
+            "atoms": [[1.0, 0.0]], **header,
+        }
+        doc = {k: v for k, v in doc.items() if v is not None}
+        out = str(tmp_path / "x.code")
+        argv = [
+            "encode", "--synth", synth_cfg,
+            "--dict", write_json(tmp_path / "d.json", doc), "--out", out,
+        ]
+        assert main(argv) == EXIT_DATA
+        assert not os.path.exists(out) and not os.path.exists(out + ".run.json")
 
     def test_malformed_code_header_is_data_exit(self, tmp_path, dict_path):
         bad = tmp_path / "bad.code"

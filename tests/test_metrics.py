@@ -336,7 +336,7 @@ class TestPSweep:
             off = int(rng.integers(0, 3000 - 12))
             placements.append((i, off, float(rng.uniform(0.8, 1.2))))
         sig = synth_signal(waveforms, placements, 3000, noise_sigma=0.01, seed=2)
-        rows = p_sweep(d, sig, [0.01, 0.05, 0.1], variant="emp")
+        rows = p_sweep(d, sig, [0.01, 0.05, 0.1], PursuitConfig(variant="emp"))
         assert [r[0] for r in rows] == [0.01, 0.05, 0.1]
         assert rows[-1][1] > rows[0][1]
 

@@ -1054,13 +1054,13 @@ class TestMatchValidation:
     def test_non_unit_norm_atom_rejected(self, tiny_dict, noise_signal, variant):
         """A lone event's coefficient is its correlation only for unit norm."""
         cfg = PursuitConfig(variant=variant, p=0.1)
-        atoms = [Atom(a.waveform, pad_len=a.pad_len) for a in tiny_dict.atoms]
-        atoms[1] = Atom(2.0 * atoms[1].waveform, pad_len=atoms[1].pad_len)
+        atoms = [Atom(a.waveform) for a in tiny_dict.atoms]
+        atoms[1] = Atom(2.0 * atoms[1].waveform)
         with pytest.raises(ValueError, match="atom 1 is not unit norm"):
             match(Dictionary(atoms), noise_signal, cfg)
         # Round-off well inside the tolerance is accepted.
         w = tiny_dict.atoms[1].waveform * (1.0 + 1e-12)
-        atoms[1] = Atom(w, pad_len=atoms[1].pad_len)
+        atoms[1] = Atom(w)
         assert match(Dictionary(atoms), noise_signal, cfg).events
 
 
