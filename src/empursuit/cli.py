@@ -175,7 +175,7 @@ def cmd_learn(args) -> int:
     for path in (args.out, trace_path):
         if not os.path.isdir(os.path.dirname(path) or "."):
             raise FileNotFoundError(f"no directory to write {path!r} in")
-    if args.checkpoint_dir is None:
+    if args.checkpoint_every > 0 and args.checkpoint_dir is None:
         args.checkpoint_dir = os.path.dirname(args.out) or "."
     dictionary, trace = dlearn(sig, cfg, checkpoint_dir=args.checkpoint_dir)
     save_dict(dictionary, args.out)
@@ -249,14 +249,22 @@ def cmd_eval(args) -> int:
     if args.analysis == "entropy":
         for cfg in cfgs:
             code = match(dictionary, sig, cfg)
-            row = [cfg.variant, len(code.events), f"{index_entropy(code, m):.6f}"]
-            row += [f"{coeff_entropy(code, b):.6f}" for b in HISTOGRAM_BIN_COUNTS]
+            row = [
+                cfg.variant,
+                len(code.events),
+                f"{index_entropy(code, m):.6f}",
+            ]
+            row += [
+                f"{coeff_entropy(code, bins):.6f}" for bins in HISTOGRAM_BIN_COUNTS
+            ]
             rows.append(row)
-        columns = ["variant", "events", "index_entropy_bits"]
-        columns += [f"coeff_entropy_{b}" for b in HISTOGRAM_BIN_COUNTS]
+        columns = ["variant", "events", "index_entropy_bits"] + [
+            f"coeff_entropy_{b}" for b in HISTOGRAM_BIN_COUNTS
+        ]
     elif args.analysis == "rates":
         for cfg in cfgs:
-            rates = event_rates(match(dictionary, sig, cfg), sig.sample_rate, m)
+            code = match(dictionary, sig, cfg)
+            rates = event_rates(code, sig.sample_rate, m)
             rows += [(cfg.variant, i, f"{r:.6f}") for i, r in rates_table(rates)]
         columns = ["variant", "atom_index", "events_per_second"]
     elif args.analysis == "histograms":
@@ -264,20 +272,26 @@ def cmd_eval(args) -> int:
             code = match(dictionary, sig, cfg)
             for bins in HISTOGRAM_BIN_COUNTS:
                 hist = coeff_histogram(code, bins)
-                rows += [(cfg.variant, bins, b, int(c)) for b, c in enumerate(hist)]
+                rows += [
+                    (cfg.variant, bins, b, int(count)) for b, count in enumerate(hist)
+                ]
         columns = ["variant", "bins", "bin_index", "count"]
     elif args.analysis == "denoise":
         ratios = _csv_list(args.ratios, float)
         for cfg in cfgs:
-            sweep = denoise_sweep(dictionary, sig, ratios, cfg, args.noise_seed)
-            rows += [(cfg.variant, r, f"{clamp_db(snr):.2f}") for r, snr in sweep]
+            for ratio, snr in denoise_sweep(
+                dictionary, sig, ratios, cfg, noise_seed=args.noise_seed
+            ):
+                rows.append((cfg.variant, ratio, f"{clamp_db(snr):.2f}"))
         header["noise_seed"] = args.noise_seed
         columns = ["variant", "noise_ratio", "snr_db"]
     elif args.analysis == "psweep":
         p_values = _parse_grid(args.p_grid)
         for cfg in cfgs:
-            sweep = p_sweep(dictionary, sig, p_values, cfg)
-            rows += [(cfg.variant, f"{p:.4f}", f"{clamp_db(s):.2f}") for p, s in sweep]
+            rows += [
+                (cfg.variant, f"{p:.4f}", f"{clamp_db(snr):.2f}")
+                for p, snr in p_sweep(dictionary, sig, p_values, cfg)
+            ]
         columns = ["variant", "p", "snr_db"]
     write_table(args.out, columns, rows, header)
     print(f"csv={args.out}")

@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,11 +43,18 @@ UNIT_NORM_TOL = 1e-9
 
 @dataclass(eq=False)
 class Atom:
-    """One shift-invariant waveform; unit ℓ2 norm after any extnorm call."""
+    """One shift-invariant waveform; unit ℓ2 norm after any extnorm call.
+
+    Tails always grow by TAIL_LEN. pad_len accepts only that value, so
+    code that rebuilds an atom as Atom(w, pad_len=a.pad_len) still runs.
+    """
 
     waveform: np.ndarray
+    pad_len: int = TAIL_LEN
 
     def __post_init__(self) -> None:
+        if self.pad_len != TAIL_LEN:
+            raise ValueError(f"pad_len is fixed at TAIL_LEN={TAIL_LEN}")
         self.waveform = np.asarray(self.waveform, dtype=np.float64)
         if self.waveform.ndim != 1 or self.waveform.size < 1:
             raise ValueError("atom waveform must be a non-empty 1-D array")
@@ -61,7 +69,10 @@ class Atom:
 
 @dataclass(eq=False)
 class Dictionary:
-    """Ordered set of atoms; indices are stable identities."""
+    """Ordered set of atoms; indices are stable identities.
+
+    sample_rate_hint is None or a whole number >= 1, stored as an int.
+    """
 
     atoms: list[Atom]
     sample_rate_hint: int | None = None
@@ -70,6 +81,12 @@ class Dictionary:
     def __post_init__(self) -> None:
         if len(self.atoms) < 1:
             raise ValueError("dictionary needs at least one atom")
+        rate = self.sample_rate_hint
+        if rate is not None:
+            whole = isinstance(rate, numbers.Real) and float(rate).is_integer()
+            if isinstance(rate, bool) or not whole or rate < 1:
+                raise ValueError(f"sample_rate_hint {rate!r} is not an integer >= 1")
+            self.sample_rate_hint = int(rate)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dictionary):
@@ -184,8 +201,8 @@ def save_dict(d: Dictionary, path) -> None:
 def load_dict(path) -> Dictionary:
     """Read a dictionary written by save_dict; structured errors on bad files.
 
-    The header needs an integer m >= 1 and a null or integer >= 1
-    sample_rate_hint. Atoms must be unit norm to within UNIT_NORM_TOL.
+    The header needs an integer m >= 1 and a sample_rate_hint that
+    Dictionary accepts. Atoms must be unit norm to within UNIT_NORM_TOL.
     """
     try:
         with open(path) as fh:
@@ -200,15 +217,16 @@ def load_dict(path) -> Dictionary:
         raise DataFormatError(
             f"unsupported dictionary format version {doc.get('format_version')!r}"
         )
-    m, rate = doc.get("m"), doc.get("sample_rate_hint")
+    m = doc.get("m")
     if type(m) is not int or m < 1:  # bool is an int subclass; type() rejects it
         raise DataFormatError(f"bad atom count m={m!r} in {path!r}")
-    if rate is not None and (type(rate) is not int or rate < 1):
-        raise DataFormatError(f"bad sample_rate_hint {rate!r} in {path!r}")
     try:
         atoms = [Atom(np.asarray(w, dtype=np.float64)) for w in doc["atoms"]]
-        provenance = doc.get("provenance", "")
-        d = Dictionary(atoms, sample_rate_hint=rate, provenance=provenance)
+        d = Dictionary(
+            atoms,
+            sample_rate_hint=doc.get("sample_rate_hint"),
+            provenance=doc.get("provenance", ""),
+        )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"bad dictionary contents in {path!r}: {exc}") from exc
     if m != len(d.atoms):

@@ -287,7 +287,7 @@ def build_synth_signal(cfg: dict) -> tuple[Signal, list[np.ndarray]]:
     """
     try:
         return _synth_from_config(cfg)
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"bad synthetic-signal config: {exc!r}") from exc
 
 
@@ -298,18 +298,19 @@ def _synth_from_config(cfg: dict) -> tuple[Signal, list[np.ndarray]]:
     noise_sigma = float(cfg.get("noise_sigma", 0.0))
     atoms_cfg = cfg["atoms"]
     placements_cfg = cfg["placements"]
+    if not isinstance(atoms_cfg, dict) or not isinstance(placements_cfg, dict):
+        raise TypeError("atoms and placements must be JSON objects")
 
     kind = atoms_cfg.get("kind", "gaussian")
     if kind == "gaussian":
         rng = np.random.default_rng((seed, 1))
-        count, alen = int(atoms_cfg["count"]), int(atoms_cfg["length"])
+        count = int(atoms_cfg["count"])
+        alen = int(atoms_cfg["length"])
         raw = [rng.standard_normal(alen) for _ in range(count)]
     elif kind == "explicit":
         raw = [np.asarray(w, dtype=np.float64) for w in atoms_cfg["waveforms"]]
     else:
         raise DataFormatError(f"unknown atoms kind {kind!r}")
-    if not raw:
-        raise ValueError("no hidden atoms")
     waveforms = []
     for idx, w in enumerate(raw):
         norm = np.linalg.norm(w)
@@ -345,5 +346,12 @@ def _synth_from_config(cfg: dict) -> tuple[Signal, list[np.ndarray]]:
     else:
         raise DataFormatError(f"unknown placements kind {kind!r}")
 
-    sig = synth_signal(waveforms, placements, length, noise_sigma, (seed, 3), sample_rate)
+    sig = synth_signal(
+        waveforms,
+        placements,
+        length,
+        noise_sigma=noise_sigma,
+        seed=(seed, 3),
+        sample_rate=sample_rate,
+    )
     return sig, waveforms

@@ -132,6 +132,7 @@ class TestLearnCommand:
         assert run_cfg["argv_command"] == "learn"
         assert run_cfg["atoms"] == 3
         assert run_cfg["p"] == 0.05  # default resolved and recorded
+        assert run_cfg["checkpoint_dir"] is None  # no checkpoints, no directory
 
     @pytest.mark.parametrize("out_dir", ["run", ""], ids=["out-dir", "no-dir-part"])
     def test_checkpoints_default_to_the_directory_of_out(

@@ -35,6 +35,14 @@ class TestAtom:
         assert a == b
         assert a != c
 
+    def test_pad_len_is_fixed_at_tail_len(self):
+        """Rebuilding an atom with its own pad_len works; any other pad is refused."""
+        a = Atom(np.full(4, 0.5))
+        assert a.pad_len == TAIL_LEN
+        assert Atom(2.0 * a.waveform, pad_len=a.pad_len) == Atom(np.ones(4))
+        with pytest.raises(ValueError, match="pad_len"):
+            Atom(a.waveform, pad_len=2)
+
 
 class TestRanddict:
     def test_paper_shape(self):
@@ -192,6 +200,24 @@ class TestSerialization:
         path.write_text(json.dumps(doc))
         with pytest.raises(DataFormatError, match=key):
             load_dict(path)
+
+    @pytest.mark.parametrize("hint", [16000.0, np.int64(16000), np.float64(16000)])
+    def test_whole_number_hint_round_trips_as_int(self, tmp_path, hint):
+        """What save_dict writes, load_dict reads back."""
+        d = randdict(2, seed=0, sample_rate_hint=hint)
+        assert type(d.sample_rate_hint) is int
+        path = tmp_path / "d.json"
+        save_dict(d, path)
+        back = load_dict(path)
+        assert back.sample_rate_hint == 16000
+        assert back == d
+
+    @pytest.mark.parametrize(
+        "hint", [16000.5, 0, -5, "abc", True, float("nan"), float("inf")]
+    )
+    def test_bad_hint_rejected_before_any_file_is_written(self, hint):
+        with pytest.raises(ValueError, match="sample_rate_hint"):
+            randdict(2, seed=0, sample_rate_hint=hint)
 
     def test_corrupt_file_structured_error(self, tmp_path):
         path = tmp_path / "bad.json"

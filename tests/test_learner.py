@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from empursuit import learner
-from empursuit.dictionary import Atom, Dictionary, load_dict, randdict
+from empursuit.dictionary import Atom, Dictionary, load_dict, randdict, save_dict
 from empursuit.errors import ZeroAtomError
 from empursuit.learner import (
     BlockRecord,
@@ -423,6 +423,13 @@ class TestDlearn:
         assert files == ["dict_block000002.json", "dict_block000004.json"]
         last = load_dict(tmp_path / "dict_block000004.json")
         assert last == d
+
+    def test_float_sample_rate_gives_a_loadable_dictionary(self, tmp_path):
+        src = training_source(6)
+        sig = Signal(src.samples, float(src.sample_rate))
+        d, _ = dlearn(sig, LearnConfig(m=2, n_blocks=1, seed=6, block_len=1500))
+        save_dict(d, tmp_path / "d.json")
+        assert load_dict(tmp_path / "d.json").sample_rate_hint == 8000
 
     def test_no_budget_is_rejected_before_the_first_block(self, monkeypatch):
         src = training_source(9)
