@@ -132,16 +132,15 @@ def apply_update(
     dictionary: Dictionary,
     code: SparseCode,
     eta: float,
+    rng: np.random.Generator,
     max_atom_len: int | None = None,
-    rng: np.random.Generator | None = None,
 ) -> Dictionary:
     """One gradient step on every atom the code selected.
 
     Each touched atom becomes extnorm(phi + eta * g / var(residual)), so it
     may grow by TAIL_LEN zeros per side up to max_atom_len; the variance
     estimate is floored at 1e-12. An atom driven to exactly zero is
-    replaced with a fresh random atom when an rng is supplied, else the
-    degeneracy propagates.
+    replaced with a fresh random atom drawn from rng.
     """
     if eta < 0:
         raise ValueError("eta must be >= 0")
@@ -159,8 +158,6 @@ def apply_update(
         try:
             new_atoms.append(extnorm(stepped, max_len=max_atom_len))
         except ZeroAtomError:
-            if rng is None:
-                raise
             new_atoms.append(_random_atom(rng))
     return Dictionary(
         atoms=new_atoms,
@@ -239,7 +236,7 @@ def dlearn(
     return dictionary, trace
 
 
-def write_trace(trace: list[BlockRecord], path, header: dict | None = None) -> None:
+def write_trace(trace: list[BlockRecord], path, header: dict) -> None:
     """Write the trace as CSV, one row per block, ±120 dB SNR clamp."""
     columns = [
         "block", "signal_seconds", "snr_db", "residual_var",

@@ -1,8 +1,9 @@
 """Entropy, event-rate, denoising, p-sweep, and timing analyses.
 
-All analyses consume SparseCode collections (or produce them internally
-from a dictionary plus signal) and emit plain Python/numpy tables that the
-CLI serializes as CSV with commented headers.
+The event analyses each take one SparseCode; the denoising, p-sweep and
+timing analyses encode a signal with a dictionary themselves. All emit
+plain Python/numpy tables that the CLI serializes as CSV with commented
+headers.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import time
 import numpy as np
 
 from .dictionary import Atom, Dictionary
-from .pursuit import VARIANTS, PursuitConfig, SparseCode, match, reconstruct
+from .pursuit import VARIANTS, PursuitConfig, SparseCode, match
 from .signal_io import Signal, add_noise, snr_db, synth_signal
 
 __all__ = [
@@ -43,6 +44,8 @@ DB_DISPLAY_LIMIT = 120.0
 PROFILE_DENSITY = 0.0525
 PROFILE_AMP_DECAY = 0.95
 PROFILE_NOISE_SIGMA = 0.002
+# Seconds each of timing_profile's timed measurements lasts at least.
+MIN_CELL_SECONDS = 0.15
 
 
 def clamp_db(value: float) -> float:
@@ -62,35 +65,27 @@ def _entropy_bits(counts: np.ndarray) -> float:
     return float(0.0 - (p * np.log2(p)).sum())
 
 
-def _all_events(codes: list[SparseCode] | SparseCode):
-    if isinstance(codes, SparseCode):
-        codes = [codes]
-    for code in codes:
-        yield from code.events
+def _index_counts(code: SparseCode, m: int) -> np.ndarray:
+    atoms = np.array([ev.atom_index for ev in code.events], dtype=np.int64)
+    bad = atoms[(atoms < 0) | (atoms >= m)]
+    if bad.size:
+        raise ValueError(f"event references atom {bad[0]} outside [0, {m})")
+    return np.bincount(atoms, minlength=m)
 
 
-def _index_counts(codes: list[SparseCode] | SparseCode, m: int) -> np.ndarray:
-    counts = np.zeros(m, dtype=np.int64)
-    for ev in _all_events(codes):
-        if not 0 <= ev.atom_index < m:
-            raise ValueError(f"event references atom {ev.atom_index} outside [0, {m})")
-        counts[ev.atom_index] += 1
-    return counts
-
-
-def index_entropy(codes: list[SparseCode] | SparseCode, m: int) -> float:
+def index_entropy(code: SparseCode, m: int) -> float:
     """Shannon entropy (bits) of the selected-atom-index distribution."""
-    return _entropy_bits(_index_counts(codes, m))
+    return _entropy_bits(_index_counts(code, m))
 
 
-def coeff_histogram(codes: list[SparseCode] | SparseCode, bins: int) -> np.ndarray:
+def coeff_histogram(code: SparseCode, bins: int) -> np.ndarray:
     """Counts of coefficients in equal-width bins over the observed [min, max].
 
     A degenerate range (all values equal) puts every event in bin 0.
     """
     if bins < 1:
         raise ValueError("bins must be >= 1")
-    coeffs = np.array([ev.coefficient for ev in _all_events(codes)])
+    coeffs = np.array([ev.coefficient for ev in code.events])
     if coeffs.size == 0:
         raise ValueError("entropy of an empty event stream is undefined")
     lo, hi = float(coeffs.min()), float(coeffs.max())
@@ -101,23 +96,17 @@ def coeff_histogram(codes: list[SparseCode] | SparseCode, bins: int) -> np.ndarr
     return np.histogram(coeffs, bins=bins, range=(lo, hi))[0]
 
 
-def coeff_entropy(codes: list[SparseCode] | SparseCode, bins: int) -> float:
+def coeff_entropy(code: SparseCode, bins: int) -> float:
     """Entropy (bits) of coeff_histogram; 0 bits when one bin holds every event."""
-    counts = coeff_histogram(codes, bins)
+    counts = coeff_histogram(code, bins)
     return 0.0 if counts[0] == counts.sum() else _entropy_bits(counts)
 
 
-def event_rates(
-    codes: list[SparseCode] | SparseCode, sample_rate: int, m: int
-) -> np.ndarray:
+def event_rates(code: SparseCode, sample_rate: int, m: int) -> np.ndarray:
     """Per-atom selection events per second of analyzed signal."""
-    if isinstance(codes, SparseCode):
-        codes = [codes]
-    total_samples = sum(code.window_len for code in codes)
-    if total_samples == 0 or sample_rate <= 0:
+    if code.window_len == 0 or sample_rate <= 0:
         raise ValueError("cannot compute rates over zero signal duration")
-    counts = _index_counts(codes, m)
-    return counts / (total_samples / sample_rate)
+    return _index_counts(code, m) / (code.window_len / sample_rate)
 
 
 def rates_table(rates: np.ndarray) -> list[tuple[int, float]]:
@@ -136,7 +125,8 @@ def denoise_sweep(
     """Reconstruction SNR against the clean signal per noise ratio.
 
     For each ratio: add Gaussian noise at ratio * std(clean), encode the
-    noisy signal, reconstruct, and measure SNR against the CLEAN signal.
+    noisy signal, and measure the SNR of its approximation (the noisy
+    signal less the code's residual) against the CLEAN signal.
     """
     rows: list[tuple[float, float]] = []
     for k, ratio in enumerate(ratios):
@@ -144,7 +134,7 @@ def denoise_sweep(
             raise ValueError("noise ratios must be >= 0")
         noisy = add_noise(clean, ratio, seed=(noise_seed, k))
         code = match(dictionary, noisy, cfg)
-        approx = reconstruct(code, dictionary)
+        approx = noisy.samples - code.residual
         rows.append((float(ratio), snr_db(clean.samples, approx)))
     return rows
 
@@ -159,8 +149,7 @@ def p_sweep(
     rows: list[tuple[float, float]] = []
     for p in p_values:
         code = match(dictionary, x, dataclasses.replace(cfg, p=float(p)))
-        approx = reconstruct(code, dictionary)
-        rows.append((float(p), snr_db(x.samples, approx)))
+        rows.append((float(p), snr_db(x.samples, x.samples - code.residual)))
     return rows
 
 
@@ -257,14 +246,13 @@ def timing_profile(
     window_lengths: list[int],
     p: float = 0.05,
     repeats: int = 3,
-    min_cell_time: float = 0.15,
 ) -> list[tuple[str, int, float]]:
     """Steady-state core time per signal sample per pursuit iteration.
 
     For each (variant, window length): run match() on the window's worth of
     signal, take the median time of one call, and normalize by (window
     length x event count). Each timed measurement loops the match enough
-    times to last at least min_cell_time seconds (the same autoranging
+    times to last at least MIN_CELL_SECONDS (the same autoranging
     timeit uses). A first, untimed run of each cell sets its loop counts
     and event count. Repeats are interleaved round-robin across all cells
     so a burst of machine noise cannot poison every repeat of one cell
@@ -282,6 +270,8 @@ def timing_profile(
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
+    if min(window_lengths, default=0) < 1:
+        raise ValueError(f"window lengths must be >= 1, got {window_lengths}")
     samples = x.samples
     if len(samples) < max(window_lengths):
         raise ValueError("profiling signal shorter than the largest window")
@@ -303,7 +293,7 @@ def timing_profile(
             code = match(dictionary, samples[:n], cfgs[v])
             dt = time.thread_time() - t0
             events[(v, n)] = max(len(code.events), 1)
-            loops[(v, n)] = max(1, math.ceil(min_cell_time / max(dt, 1e-9)))
+            loops[(v, n)] = max(1, math.ceil(MIN_CELL_SECONDS / max(dt, 1e-9)))
             ref_loops[(v, n)] = max(1, round(dt / ref))
         for _ in range(repeats):
             for v, n in cells:
@@ -322,10 +312,10 @@ def timing_profile(
     ]
 
 
-def write_table(path, columns: list[str], rows, header: dict | None = None) -> None:
+def write_table(path, columns: list[str], rows, header: dict) -> None:
     """CSV with '# key=value' comment lines, then a column header and rows."""
     with open(path, "w", newline="") as fh:
-        for key, value in (header or {}).items():
+        for key, value in header.items():
             fh.write(f"# {key}={value}\n")
         writer = csv.writer(fh)
         writer.writerow(columns)

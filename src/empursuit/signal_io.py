@@ -175,13 +175,15 @@ def synth_signal(
 ) -> Signal:
     """Superpose scaled, shifted waveforms plus optional Gaussian noise.
 
-    Each placement is (atom index, offset, amplitude) and must keep the
-    atom's full support inside [0, length).
+    Each placement is (atom index, offset, amplitude): the index must lie in
+    [0, len(waveforms)) and the atom's full support inside [0, length).
     """
     if not noise_sigma >= 0:
         raise ValueError(f"noise_sigma must be >= 0, got {noise_sigma}")
     out = np.zeros(length, dtype=np.float64)
     for idx, offset, amp in placements:
+        if not 0 <= idx < len(waveforms):
+            raise ValueError(f"placement on atom {idx} of {len(waveforms)}")
         w = waveforms[idx]
         if offset < 0 or offset + len(w) > length:
             raise ValueError(
@@ -340,9 +342,6 @@ def _synth_from_config(cfg: dict) -> tuple[Signal, list[np.ndarray]]:
         placements = [
             (int(i), int(o), float(a)) for i, o, a in placements_cfg["events"]
         ]
-        for i, _, _ in placements:
-            if not 0 <= i < len(waveforms):
-                raise ValueError(f"event on atom {i} of {len(waveforms)}")
     else:
         raise DataFormatError(f"unknown placements kind {kind!r}")
 

@@ -7,7 +7,6 @@ import pytest
 
 from empursuit import learner
 from empursuit.dictionary import Atom, Dictionary, load_dict, randdict, save_dict
-from empursuit.errors import ZeroAtomError
 from empursuit.learner import (
     BlockRecord,
     LearnConfig,
@@ -134,7 +133,7 @@ class TestApplyUpdate:
         code = SparseCode(
             events=[SparseEvent(1, 10, 0.5)], residual=residual, window_len=500
         )
-        out = apply_update(d, code, eta=1e-4)
+        out = apply_update(d, code, eta=1e-4, rng=np.random.default_rng(0))
         for i in (0, 2, 3):
             assert out.atoms[i] is d.atoms[i]
         assert out.atoms[1] is not d.atoms[1]
@@ -148,7 +147,7 @@ class TestApplyUpdate:
             residual=residual,
             window_len=400,
         )
-        out = apply_update(d, code, eta=0.0)
+        out = apply_update(d, code, eta=0.0, rng=np.random.default_rng(0))
         for before, after in zip(d.atoms, out.atoms):
             np.testing.assert_allclose(after.waveform, before.waveform, atol=1e-12)
             assert np.linalg.norm(after.waveform) == pytest.approx(1.0, abs=1e-12)
@@ -157,13 +156,13 @@ class TestApplyUpdate:
         d = randdict(2, seed=0)
         code = SparseCode(events=[], residual=np.zeros(100), window_len=100)
         with pytest.raises(ValueError):
-            apply_update(d, code, eta=-1e-6)
+            apply_update(d, code, eta=-1e-6, rng=np.random.default_rng(0))
 
     def test_requires_residual(self):
         d = randdict(2, seed=0)
         code = SparseCode(events=[], residual=None, window_len=100)
         with pytest.raises(ValueError):
-            apply_update(d, code, eta=1e-6)
+            apply_update(d, code, eta=1e-6, rng=np.random.default_rng(0))
 
     def test_small_step_descends_fixed_code_objective(self):
         """A small exact-gradient step must not increase ||x - reconstruct||."""
@@ -171,7 +170,7 @@ class TestApplyUpdate:
         for seed in range(25):
             waveforms, x, code = random_instance(seed, n=120, m=2, max_len=8)
             d = Dictionary([Atom(w) for w in waveforms])
-            out = apply_update(d, code, eta=1e-4)
+            out = apply_update(d, code, eta=1e-4, rng=np.random.default_rng(0))
             before = float(np.linalg.norm(residual_for(waveforms, x, code)))
             after = float(
                 np.linalg.norm(residual_for([a.waveform for a in out.atoms], x, code))
@@ -188,7 +187,7 @@ class TestApplyUpdate:
             residual=rng.standard_normal(300),
             window_len=300,
         )
-        out = apply_update(d, code, eta=1e-5)
+        out = apply_update(d, code, eta=1e-5, rng=np.random.default_rng(0))
         assert out.sample_rate_hint == 44100
         assert out.provenance == d.provenance
 
@@ -208,20 +207,6 @@ class TestApplyUpdate:
         assert np.linalg.norm(out.atoms[0].waveform) == pytest.approx(1.0, abs=1e-12)
         assert not np.array_equal(out.atoms[0].waveform, w)
 
-    def test_atom_driven_to_zero_raises_without_rng(self):
-        rng = np.random.default_rng(4006)
-        w = rng.standard_normal(12)
-        w /= np.linalg.norm(w)
-        d = Dictionary([Atom(w)])
-        residual = np.zeros(64)
-        residual[20:32] = -w
-        var = float(np.var(residual))
-        code = SparseCode(
-            events=[SparseEvent(0, 20, 1.0)], residual=residual, window_len=64
-        )
-        with pytest.raises(ZeroAtomError):
-            apply_update(d, code, eta=var)
-
     def test_updated_atoms_stay_unit_norm(self):
         d = randdict(3, seed=8)
         rng = np.random.default_rng(4007)
@@ -231,7 +216,7 @@ class TestApplyUpdate:
             residual=residual,
             window_len=600,
         )
-        out = apply_update(d, code, eta=1e-3)
+        out = apply_update(d, code, eta=1e-3, rng=np.random.default_rng(0))
         for atom in out.atoms:
             assert np.linalg.norm(atom.waveform) == pytest.approx(1.0, abs=1e-12)
 
@@ -244,11 +229,11 @@ def unit_atoms(rng, lengths) -> list[Atom]:
     return atoms
 
 
-def assert_update_matches_loop(d, code, eta, max_atom_len=None, rng_seed=None):
+def assert_update_matches_loop(d, code, eta, max_atom_len=None, rng_seed=0):
     """apply_update and the per-event reference give byte-equal waveforms."""
 
     def rng():
-        return None if rng_seed is None else np.random.default_rng(rng_seed)
+        return np.random.default_rng(rng_seed)
 
     out = apply_update(d, code, eta, max_atom_len=max_atom_len, rng=rng())
     ref = loop_update(d, code, eta, max_atom_len=max_atom_len, rng=rng())

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from empursuit import metrics
 from empursuit.dictionary import Atom, Dictionary, randdict
 from empursuit.metrics import (
     clamp_db,
@@ -26,7 +28,7 @@ from empursuit.metrics import (
     write_table,
 )
 from empursuit.pursuit import PursuitConfig, SparseCode, SparseEvent, match, reconstruct
-from empursuit.signal_io import Signal, snr_db, synth_signal
+from empursuit.signal_io import Signal, add_noise, snr_db, synth_signal
 
 
 def code_of(
@@ -69,11 +71,6 @@ class TestIndexEntropy:
     def test_equiprobable_counts_hit_log2_m_exactly(self):
         code = code_of(list(range(32)) * 3)
         assert abs(index_entropy(code, m=32) - 5.0) <= 1e-9
-
-    def test_aggregates_over_code_collections(self):
-        combined = index_entropy(code_of([0, 0, 0, 1]), m=2)
-        split = index_entropy([code_of([0, 0]), code_of([0, 1])], m=2)
-        assert split == combined
 
     def test_empty_stream_rejected(self):
         with pytest.raises(ValueError):
@@ -153,12 +150,6 @@ class TestEventRates:
             event_rates(code_of([0], window_len=0), sample_rate=8000, m=2)
         with pytest.raises(ValueError):
             event_rates(code_of([0]), sample_rate=0, m=2)
-
-    def test_aggregates_duration_over_codes(self):
-        codes = [code_of([0], window_len=4000), code_of([0], window_len=4000)]
-        np.testing.assert_allclose(
-            event_rates(codes, sample_rate=8000, m=1), [2.0]
-        )
 
     def test_equiprobable_quota_rate_at_48khz(self, quota_code_48k):
         rates = event_rates(quota_code_48k, sample_rate=48000, m=32)
@@ -298,7 +289,7 @@ class TestDenoiseSweep:
         cfg = PursuitConfig(variant="omp", p=0.05)
         rows = denoise_sweep(d, clean, [0.0], cfg)
         code = match(d, clean, cfg)
-        plain = snr_db(clean.samples, reconstruct(code, d))
+        plain = snr_db(clean.samples, clean.samples - code.residual)
         assert rows == [(0.0, plain)]
 
     def test_snr_degrades_from_low_to_high_noise(self, planted):
@@ -320,6 +311,35 @@ class TestDenoiseSweep:
         d, clean = planted
         with pytest.raises(ValueError):
             denoise_sweep(d, clean, [-0.1], PursuitConfig(variant="mp", p=0.05))
+
+
+class TestSnrFromResidual:
+    """denoise_sweep and p_sweep take each SNR from the code's residual; it
+    matches the SNR of the reconstruction from the events."""
+
+    @pytest.mark.parametrize("variant", ["mp", "omp", "emp", "eomp"])
+    def test_matches_reconstruction_snr(self, variant):
+        d = randdict(6, seed=3, sample_rate_hint=8000)
+        rng = np.random.default_rng(4101)
+        placements = [
+            (int(rng.integers(6)), int(rng.integers(0, 4000 - 70)),
+             float(rng.uniform(0.5, 1.5)))
+            for _ in range(80)
+        ]
+        clean = synth_signal(
+            d.waveforms, placements, 4000, noise_sigma=0.05, seed=4, sample_rate=8000
+        )
+        cfg = PursuitConfig(variant=variant, p=0.05)
+        ratios, p_values = [0.0, 0.1, 0.5], [0.02, 0.05, 0.2]
+        for k, (ratio, snr) in enumerate(
+            denoise_sweep(d, clean, ratios, cfg, noise_seed=5)
+        ):
+            noisy = add_noise(clean, ratio, seed=(5, k))
+            approx = reconstruct(match(d, noisy, cfg), d)
+            assert abs(snr - snr_db(clean.samples, approx)) <= 1e-9
+        for p, snr in p_sweep(d, clean, p_values, cfg):
+            code = match(d, clean, dataclasses.replace(cfg, p=p))
+            assert abs(snr - snr_db(clean.samples, reconstruct(code, d))) <= 1e-9
 
 
 class TestPSweep:
@@ -365,17 +385,14 @@ class TestProfileHelpers:
 
 
 class TestTimingProfile:
-    def make_profile(self, repeats=1, min_cell_time=1e-4):
+    @pytest.fixture(autouse=True)
+    def short_cells(self, monkeypatch):
+        monkeypatch.setattr(metrics, "MIN_CELL_SECONDS", 1e-4)
+
+    def make_profile(self, repeats=1):
         d = profile_dictionary(3, length=8, seed=0)
         sig = profile_signal(d, 1024, seed=0)
-        return timing_profile(
-            d,
-            sig,
-            [256, 512],
-            p=0.05,
-            repeats=repeats,
-            min_cell_time=min_cell_time,
-        )
+        return timing_profile(d, sig, [256, 512], p=0.05, repeats=repeats)
 
     def test_rows_cover_all_variant_window_cells(self):
         rows = self.make_profile()
@@ -385,17 +402,16 @@ class TestTimingProfile:
         for _, _, t in rows:
             assert math.isfinite(t) and t > 0.0
 
-    def test_repeated_profiles_agree_within_twenty_percent(self):
+    def test_repeated_profiles_agree_within_twenty_percent(self, monkeypatch):
         # Atoms long enough that matrix work dominates interpreter
         # bookkeeping; tiny-atom cells time Python overhead, which is far
         # noisier than the engine itself.
+        monkeypatch.setattr(metrics, "MIN_CELL_SECONDS", 0.1)
         d = profile_dictionary(4, length=64, seed=0)
         sig = profile_signal(d, 8192, seed=0)
 
         def profile():
-            return timing_profile(
-                d, sig, [2048, 4096], p=0.05, repeats=3, min_cell_time=0.1
-            )
+            return timing_profile(d, sig, [2048, 4096], p=0.05, repeats=3)
 
         for (_, _, a), (_, _, b) in zip(profile(), profile()):
             assert abs(a - b) / min(a, b) < 0.20
@@ -405,6 +421,15 @@ class TestTimingProfile:
         sig = profile_signal(d, 1024, seed=0)
         with pytest.raises(ValueError):
             timing_profile(d, sig, [2048])
+
+    @pytest.mark.parametrize("windows", [[512, -100], [0], []])
+    def test_window_shorter_than_one_sample_rejected(self, windows):
+        """A negative length would profile samples[:-100] and report a
+        negative time per sample."""
+        d = profile_dictionary(3, length=8, seed=0)
+        sig = profile_signal(d, 1024, seed=0)
+        with pytest.raises(ValueError, match="window lengths"):
+            timing_profile(d, sig, windows)
 
     def test_no_repeats_rejected(self):
         """Zero repeats would leave every cell without a time, i.e. NaN."""
@@ -441,8 +466,3 @@ class TestWriteTable:
         assert rows[0] == ["p", "snr_db"]
         assert rows[1] == ["0.05", "12.5"]
         assert rows[2] == ["0.1", "14.0"]
-
-    def test_no_header_writes_columns_first(self, tmp_path):
-        path = tmp_path / "bare.csv"
-        write_table(path, ["a"], [(1,)])
-        assert path.read_text().splitlines()[0] == "a"

@@ -321,6 +321,12 @@ class TestSynthSignal:
         with pytest.raises(ValueError):
             synth_signal([np.ones(5)], [(0, 98, 1.0)], 100)
 
+    @pytest.mark.parametrize("idx", [-1, 2])
+    def test_atom_index_outside_the_waveforms_rejected(self, idx):
+        """-1 would otherwise place the last atom; 2 would raise IndexError."""
+        with pytest.raises(ValueError, match=f"atom {idx} of 2"):
+            synth_signal([np.ones(5), np.ones(3)], [(idx, 0, 1.0)], 100)
+
 
 class TestBlockSource:
     """Training blocks drawn by next_block."""
@@ -464,3 +470,13 @@ class TestBuildSynthSignal:
     def test_missing_keys_rejected(self):
         with pytest.raises(DataFormatError):
             build_synth_signal({"length": 100})
+
+    @pytest.mark.parametrize("idx", [-1, 1])
+    def test_explicit_event_on_missing_atom_rejected(self, idx):
+        cfg = {
+            "length": 30,
+            "atoms": {"kind": "explicit", "waveforms": [[2.0, 0.0]]},
+            "placements": {"kind": "explicit", "events": [[idx, 4, 3.0]]},
+        }
+        with pytest.raises(DataFormatError, match=f"atom {idx} of 1"):
+            build_synth_signal(cfg)
