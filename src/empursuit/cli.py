@@ -346,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_learn.add_argument("--eta", type=float, default=learn.eta)
     p_learn.add_argument("--variant", choices=VARIANTS, default=learn.variant)
     p_learn.add_argument("--blocks", type=int, default=100)
-    p_learn.add_argument("--time-budget", type=float, default=None)
+    p_learn.add_argument("--time-budget", type=float)
     p_learn.add_argument("--seed", type=int, default=learn.seed)
     p_learn.add_argument(
         "--block-len", type=int, help="N = signal length; default min(N, 16384), max N"
@@ -360,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_learn.add_argument(
         "--checkpoint-dir", help="needs --checkpoint-every; default: --out's directory"
     )
-    p_learn.add_argument("--trace", default=None)
+    p_learn.add_argument("--trace")
     p_learn.add_argument("--out", required=True, help="dictionary file to write")
     p_learn.set_defaults(func=cmd_learn)
 
@@ -370,14 +370,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_enc.add_argument("--variant", choices=VARIANTS, default=PursuitConfig.variant)
     p_enc.add_argument("--p", type=float, default=PursuitConfig.p)
     p_enc.add_argument("--iters", type=int, help="mp/omp default: M*floor(p*N/M)")
-    p_enc.add_argument("--residual", default=None, help="raw float64 residual output")
+    p_enc.add_argument("--residual", help="raw float64 residual output")
     p_enc.add_argument("--out", required=True, help="sparse-code file to write")
     p_enc.set_defaults(func=cmd_encode)
 
     p_rec = sub.add_parser("reconstruct", help="render a sparse code back to WAV")
     p_rec.add_argument("--dict", required=True)
     p_rec.add_argument("--code", required=True)
-    p_rec.add_argument("--sample-rate", type=int, default=None)
+    p_rec.add_argument("--sample-rate", type=int)
     p_rec.add_argument(
         "--encoding", choices=("float32", "pcm16", "pcm24"), default="float32"
     )
@@ -410,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(func=cmd_eval)
 
     p_prof = sub.add_parser("profile", help="time the pursuit across window lengths")
-    p_prof.add_argument("--dict", default=None)
+    p_prof.add_argument("--dict")
     p_prof.add_argument("--atoms", type=int, default=32)
     p_prof.add_argument("--atom-len", type=int, default=128)
     p_prof.add_argument("--seed", type=int, default=0)

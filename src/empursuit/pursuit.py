@@ -26,7 +26,9 @@ cross-correlations are built from anyway. After the build, a step that
 subtracts chi times atom a at offset tau changes each correlation by chi
 times a precomputed cross-correlation of atom a with that atom, so only
 the offsets within reach of tau are touched, without re-reading the
-residual (the MPTK update). A flat index makes the argmax cheap: per
+residual (the MPTK update). Those cross-correlations are kept only at the
+lags a step reaches, 8 * M * sum_i(Lmax - 1 + L_i) bytes, so a short atom
+costs less than the longest one. A flat index makes the argmax cheap: per
 block of BLOCK offsets, the largest |correlation| over all atoms and its
 first position; each step recomputes only the blocks it touched. Exact
 ties go to the lowest offset, then the lowest atom: the index's own
@@ -53,6 +55,7 @@ from __future__ import annotations
 import bisect
 import importlib.machinery
 import importlib.util
+import itertools
 import math
 import os
 import sys
@@ -221,24 +224,33 @@ def _fft_len(n: int) -> int:
     return best
 
 
-def _cross_correlations(F: np.ndarray, lmax: int) -> np.ndarray:
-    """X[a, k, i] = sum_s W[i, s] * W[a, s + k - (Lmax - 1)], zero-padded rows.
+def _cross_correlations(
+    F: np.ndarray, lengths: Sequence[int]
+) -> tuple[np.ndarray, list[int]]:
+    """X[start[a] + k, i] = sum_s W[i, s] * W[a, s + k - (Lmax - 1)], and start.
 
-    Row a of X holds, for every lag k, how a unit of atom a placed at
-    offset tau changes every atom's correlation at offset tau + k - (Lmax-1).
-    Built from F = rfft(W, nfft) at nfft = _fft_len(2 Lmax - 1), which
-    avoids circular wrap-around (144 at Lmax 70, 200 at 100, the power of
-    two at 128, 256 and 512).
+    Atom a's rows hold, for every lag k it reaches, how a unit of atom a
+    placed at offset tau changes every atom's correlation at offset
+    tau + k - (Lmax-1). A step reaches the offsets tau - Lmax + 1 up to
+    tau + L_a - 1, so atom a keeps lags 0..Lmax + L_a - 2 of the 2 Lmax - 1,
+    stacked atom after atom from row start[a]: 8 * M * sum_a(Lmax - 1 + L_a)
+    bytes. start is a plain list, for refresh()'s per-event reads. Built
+    from F = rfft(W, nfft) at nfft = _fft_len(2 Lmax - 1), which avoids
+    circular wrap-around (144 at Lmax 70, 200 at 100, the power of two at
+    128, 256 and 512).
     """
     m = len(F)
+    lmax = max(lengths)
     nfft = _fft_len(2 * lmax - 1)
     Fc = F.conj()
-    X = np.empty((m, 2 * lmax - 1, m))
-    for a in range(m):
+    rows = [lmax - 1 + length for length in lengths]
+    start = list(itertools.accumulate(rows[:-1], initial=0))
+    X = np.empty((sum(rows), m))
+    for a, (s, length) in enumerate(zip(start, lengths)):
         c = np.fft.irfft(F[a] * Fc, nfft)  # c[i, d mod nfft]
-        X[a, : lmax - 1] = c[:, nfft - lmax + 1 :].T
-        X[a, lmax - 1 :] = c[:, :lmax].T
-    return X
+        X[s : s + lmax - 1] = c[:, nfft - lmax + 1 :].T
+        X[s + lmax - 1 : s + lmax - 1 + length] = c[:, :length].T
+    return X, start
 
 
 class CorrelationTable:
@@ -257,11 +269,15 @@ class CorrelationTable:
     nfft - Lmax + 1 offsets whose circular correlation does not wrap fill T.
 
     refresh() applies each step incrementally: a residual change of -chi at
-    offset tau by atom a moves row t of T by -chi * X[a, t - tau + Lmax-1],
-    one contiguous daxpy per neighborhood event over the offsets the event
-    can reach. X, the atoms' cross-correlations at every lag, costs
-    M^2 * (2 Lmax - 1) * 8 bytes (8 MB at M=32, Lmax=512) and is built once
-    per table, by rFFTs of the smallest 2^a 3^b 5^c length >= 2 Lmax - 1.
+    offset tau by atom a moves row t of T by
+    -chi * X[start[a] + t - tau + Lmax-1], one contiguous daxpy per
+    neighborhood event over the offsets the event can reach. X holds the
+    atoms' cross-correlations at the Lmax - 1 + L_a lags atom a's steps
+    reach, atom after atom, and refresh() is its only reader. It costs
+    8 * M * sum_i(Lmax - 1 + L_i) bytes (6.8 MB for 32 atoms of 128 to
+    512 samples, against 8.4 MB at every lag for every atom) and is built
+    once per table, by rFFTs of the smallest 2^a 3^b 5^c length
+    >= 2 Lmax - 1.
 
     The search index is flat: Bm[b] is the largest |T| over all atoms at
     offsets b*BLOCK..(b+1)*BLOCK-1 and Bp[b] its first row-major position
@@ -312,7 +328,7 @@ class CorrelationTable:
         self.live = np.ones(m, dtype=bool)
         self._nfft = _fft_len(2 * self.lmax - 1)
         self._spectra: np.ndarray | None = np.fft.rfft(self.W, self._nfft)
-        self.X = _cross_correlations(self._spectra, self.lmax)
+        self.X, self._xstart = _cross_correlations(self._spectra, self.lengths)
         self._flat = self._padded.reshape(-1)  # T and its pad, for BLAS
         self._blocks = self._padded.reshape(nblocks, BLOCK * m)  # one row a block
         self._xflat = self.X.reshape(-1)
@@ -405,8 +421,8 @@ class CorrelationTable:
         if lo > hi:
             return
         m = self._m
-        span = 2 * lmax - 1
-        lengths, xflat, flat = self.lengths, self._xflat, self._flat
+        lengths, xstart = self.lengths, self._xstart
+        xflat, flat = self._xflat, self._flat
         for ev, c in zip(psi, chi):
             if c == 0.0:
                 continue
@@ -419,7 +435,7 @@ class CorrelationTable:
             # Positional daxpy(x, y, n, a, offx, incx, offy): y += a * x.
             _blas.daxpy(
                 xflat, flat, (r1 - r0) * m, -float(c),
-                (a * span + r0 - tau + lmax - 1) * m, 1, r0 * m,
+                (xstart[a] + r0 - tau + lmax - 1) * m, 1, r0 * m,
             )
         if hi >= self._tail:
             self._zero_tail(lo, hi)

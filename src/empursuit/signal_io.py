@@ -7,6 +7,7 @@ correlation and least-squares accuracy dominates any storage concern.
 from __future__ import annotations
 
 import math
+import numbers
 import struct
 from dataclasses import dataclass
 from typing import Sequence
@@ -29,7 +30,10 @@ __all__ = [
 
 @dataclass
 class Signal:
-    """A mono sampled signal: float64 amplitudes plus a sample rate in Hz."""
+    """A mono sampled signal: float64 amplitudes plus a sample rate in Hz.
+
+    sample_rate must be a whole number >= 1 and is stored as an int.
+    """
 
     samples: np.ndarray
     sample_rate: int
@@ -40,8 +44,13 @@ class Signal:
             raise ValueError("signal must be a non-empty 1-D sample sequence")
         if not np.all(np.isfinite(self.samples)):
             raise ValueError("signal contains non-finite samples")
-        if self.sample_rate <= 0:
-            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
+        rate = self.sample_rate
+        whole = isinstance(rate, numbers.Real) and float(rate).is_integer()
+        if isinstance(rate, bool) or not whole:
+            raise ValueError(f"sample_rate must be a whole number, got {rate!r}")
+        if rate <= 0:
+            raise ValueError(f"sample_rate must be positive, got {rate}")
+        self.sample_rate = int(rate)
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -113,10 +122,10 @@ def load_wav(path) -> Signal:
     or float64; any number of channels; a plain or WAVE_FORMAT_EXTENSIBLE
     fmt chunk; little-endian (RIFF) or big-endian (RIFX) files. Chunks
     other than fmt and data are skipped. 8-bit PCM, compressed formats and
-    RF64 raise DataFormatError. Multi-channel input is downmixed by channel
-    averaging. PCM samples are scaled by the full scale of their container
-    (16-bit sample 32767 maps to 32767/32768); float samples are kept as
-    they are.
+    RF64 raise DataFormatError, as do a sample rate of 0 and a non-finite
+    sample. Multi-channel input is downmixed by channel averaging. PCM
+    samples are scaled by the full scale of their container (16-bit sample
+    32767 maps to 32767/32768); float samples are kept as they are.
     """
     try:
         with open(path, "rb") as fh:
@@ -129,7 +138,10 @@ def load_wav(path) -> Signal:
         raise DataFormatError(f"WAV file {path!r} contains no audio")
     if channels > 1:
         samples = samples.reshape(-1, channels).mean(axis=1)
-    return Signal(samples, rate)
+    try:
+        return Signal(samples, rate)
+    except ValueError as exc:
+        raise DataFormatError(f"bad WAV file {path!r}: {exc}") from exc
 
 
 def save_wav(sig: Signal, path, encoding: str = "float32") -> None:

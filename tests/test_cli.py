@@ -7,6 +7,7 @@ import hashlib
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -704,6 +705,30 @@ class TestExitCodes:
             ]
         )
         assert code == EXIT_DATA
+
+    @pytest.mark.parametrize(
+        "rate, samples, message",
+        [
+            (0, [0.5] * 64, "sample_rate must be positive, got 0"),
+            (8000, [0.5, float("nan")] * 32, "non-finite samples"),
+        ],
+        ids=["rate-0", "nan-sample"],
+    )
+    def test_unloadable_wav_is_data_exit(
+        self, tmp_path, dict_path, capsys, rate, samples, message
+    ):
+        """A float WAV that parses but holds no valid signal is a data error."""
+        data = np.asarray(samples, "<f4").tobytes()
+        fmt = struct.pack("<HHIIHH", 3, 1, rate, 4 * rate, 4, 32)
+        body = b"WAVEfmt " + struct.pack("<I", len(fmt)) + fmt
+        body += b"data" + struct.pack("<I", len(data)) + data
+        wav = tmp_path / "bad.wav"
+        wav.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+        out = str(tmp_path / "x.code")
+        argv = ["encode", "--input", str(wav), "--dict", dict_path, "--out", out]
+        assert main(argv) == EXIT_DATA
+        assert message in capsys.readouterr().err
+        assert not os.path.exists(out) and not os.path.exists(out + ".run.json")
 
     def test_unparseable_synth_config_is_data_exit(self, tmp_path, dict_path):
         bad = tmp_path / "bad.json"

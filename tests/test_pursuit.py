@@ -647,20 +647,29 @@ class TestCorrelationTable:
 
     @pytest.mark.parametrize("lmax", [70, 130, 257])
     def test_cross_correlations_match_direct_correlation(self, lmax):
-        """X at a transform length that is not a power of two (144, 270, 540)."""
+        """X at a transform length that is not a power of two (144, 270, 540).
+
+        Atom a keeps the first Lmax + L_a - 1 lags of the full correlation,
+        from row start[a], and the lags it drops are exactly 0 there.
+        """
         nfft = pursuit._fft_len(2 * lmax - 1)
         assert nfft & (nfft - 1) != 0
         rng = np.random.default_rng((3020, lmax))
+        lengths = [lmax // 2, lmax, 7]
         W = np.zeros((3, lmax))
-        for i, length in enumerate((lmax, lmax // 2, 7)):
+        for i, length in enumerate(lengths):
             w = rng.standard_normal(length)
             W[i, :length] = w / np.linalg.norm(w)
-        X = pursuit._cross_correlations(np.fft.rfft(W, nfft), lmax)
-        assert X.shape == (3, 2 * lmax - 1, 3)
+        X, start = pursuit._cross_correlations(np.fft.rfft(W, nfft), lengths)
+        kept = [lmax - 1 + length for length in lengths]
+        assert X.nbytes == 8 * 3 * sum(kept)
+        assert type(start) is list and start == [0, kept[0], kept[0] + kept[1]]
         for a in range(3):
             for i in range(3):
                 want = np.correlate(W[a], W[i], mode="full")
-                np.testing.assert_allclose(X[a, :, i], want, rtol=0, atol=1e-12)
+                got = X[start[a] : start[a] + kept[a], i]
+                np.testing.assert_allclose(got, want[: kept[a]], rtol=0, atol=1e-12)
+                assert not want[kept[a] :].any()
 
     def test_fft_len_is_the_smallest_5_smooth_length(self):
         def smooth(k):
@@ -676,17 +685,33 @@ class TestCorrelationTable:
             assert pursuit._fft_len(n) == want, n
 
     def test_refresh_tracks_local_edit(self):
+        """Mixed lengths on the matmul build (Lmax 40) and the overlap-save
+        build (Lmax 260): after each of two lone mp steps, by a long atom
+        and a short one, and after an omp step whose neighbourhood holds
+        both and the new event, by the shortest atom."""
         rng = np.random.default_rng(3011)
-        waveforms = unit_waveforms(rng, 3)
-        residual = rng.standard_normal(200)
-        table = correlate_all(residual, waveforms)
-        psi, chi = [SparseEvent(1, 90, 0.0)], [0.7]
-        t0, t1 = update_residual(residual, psi, chi, waveforms)
-        table.refresh(t0, t1, psi, chi)
-        for i, w in enumerate(waveforms):
-            want = np.correlate(residual, w, mode="valid")
-            got = table.T[: len(residual) - len(w) + 1, i]
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        for lengths, n in (((9, 40, 23, 40), 200), ((30, 260, 130, 260), 700)):
+            waveforms = [rng.standard_normal(L) for L in lengths]
+            waveforms = [w / np.linalg.norm(w) for w in waveforms]
+            residual = rng.standard_normal(n)
+            table = correlate_all(residual, waveforms)
+            spectral = max(lengths) >= pursuit._OVERLAP_SAVE_LMAX
+            assert (table._spectra is not None) == spectral
+            mid = n // 2
+            events = [SparseEvent(1, mid, 0.0), SparseEvent(2, mid + 3, 0.0)]
+            starts = [(ev.offset, pos) for pos, ev in enumerate(events)]
+            new_event = SparseEvent(0, mid + 5, 0.0)
+            omp = neighborhood(events, starts, new_event, lengths)
+            assert len(omp) == 3
+            for psi in ([events[0]], [events[1]], omp):
+                chi, _ = solve_neighborhood(psi, residual, waveforms)
+                t0, t1 = update_residual(residual, psi, chi, waveforms)
+                table.refresh(t0, t1, psi, chi)
+                for i, w in enumerate(waveforms):
+                    want = np.correlate(residual, w, mode="valid")
+                    got = table.T[: len(want), i]
+                    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+                    assert not table.T[len(want) :, i].any()
 
     def test_best_is_global_argmax(self):
         rng = np.random.default_rng(3012)

@@ -39,8 +39,19 @@ class TestSignal:
             Signal(np.array([1.0, np.nan]), 8000)
 
     def test_rejects_bad_rate(self):
-        with pytest.raises(ValueError):
-            Signal(np.zeros(4), 0)
+        """A rate must be a whole number >= 1: save_wav packs it as an int."""
+        for rate in (0, -8000, 16000.5, float("nan"), float("inf"), True, "abc"):
+            with pytest.raises(ValueError):
+                Signal(np.zeros(4), rate)
+
+    @pytest.mark.parametrize(
+        "rate",
+        [16000.0, np.float64(16000.0), np.int64(16000)],
+        ids=["float", "numpy float", "numpy int"],
+    )
+    def test_whole_rate_is_stored_as_int(self, rate):
+        sig = Signal(np.zeros(4), rate)
+        assert type(sig.sample_rate) is int and sig.sample_rate == 16000
 
     def test_rejects_2d(self):
         with pytest.raises(ValueError):
@@ -277,6 +288,21 @@ class TestWavScipyCompatibility:
             pytest.param(
                 wav_image([fmt_chunk(1, 1, 1, 8), (b"data", bytes(range(64)))]),
                 id="8-bit PCM",
+            ),
+            pytest.param(
+                wav_image(
+                    [fmt_chunk(3, 1, 4, 32, rate=0), (b"data", bytes(4 * 8))]
+                ),
+                id="float sample rate 0",
+            ),
+            pytest.param(
+                wav_image(
+                    [
+                        fmt_chunk(3, 1, 4, 32),
+                        (b"data", np.array([0.5, np.nan], "<f4").tobytes()),
+                    ]
+                ),
+                id="float NaN sample",
             ),
         ],
     )
