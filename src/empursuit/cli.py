@@ -123,6 +123,14 @@ def _config_digest(args) -> str:
     return hashlib.sha256(_run_config(args).encode()).hexdigest()[:16]
 
 
+def _check_outputs(out: str, *others: str | None) -> None:
+    """Reject a run that would write two of its outputs, or one of them and
+    the run config `<out>.run.json`, to one file."""
+    paths = [out, out + ".run.json", *filter(None, others)]
+    if len({os.path.realpath(p) for p in paths}) < len(paths):
+        raise ValueError(f"two of the outputs {paths} are one file")
+
+
 def _csv_list(text: str, kind: type) -> list:
     """Comma-separated numbers of one kind (int or float)."""
     try:
@@ -164,14 +172,13 @@ def cmd_learn(args) -> int:
         eta=args.eta,
         variant=args.variant,
         n_blocks=args.blocks,
-        time_budget_s=args.time_budget,
         seed=args.seed,
         block_len=args.block_len,
         max_atom_len=args.max_atom_len,
-        carry_residual=args.carry_residual,
         checkpoint_every=args.checkpoint_every,
     )
     trace_path = args.trace or args.out + ".trace.csv"
+    _check_outputs(args.out, trace_path)
     for path in (args.out, trace_path):
         if not os.path.isdir(os.path.dirname(path) or "."):
             raise FileNotFoundError(f"no directory to write {path!r} in")
@@ -195,6 +202,7 @@ def cmd_learn(args) -> int:
 
 
 def cmd_encode(args) -> int:
+    _check_outputs(args.out, args.residual)
     dictionary = load_dict(args.dict)
     sig = _load_input(args)
     cfg = PursuitConfig(variant=args.variant, p=args.p, iteration_budget=args.iters)
@@ -345,17 +353,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_learn.add_argument("--p", type=float, default=learn.p)
     p_learn.add_argument("--eta", type=float, default=learn.eta)
     p_learn.add_argument("--variant", choices=VARIANTS, default=learn.variant)
-    p_learn.add_argument("--blocks", type=int, default=100)
-    p_learn.add_argument("--time-budget", type=float)
+    p_learn.add_argument(
+        "--blocks", type=int, default=learn.n_blocks, help="default %(default)s"
+    )
     p_learn.add_argument("--seed", type=int, default=learn.seed)
     p_learn.add_argument(
         "--block-len", type=int, help="N = signal length; default min(N, 16384), max N"
     )
     p_learn.add_argument(
         "--max-atom-len", type=int,
-        help="at least {0}, default max(block-len // 4, {0})".format(MIN_ATOM_LEN_CAP),
+        help=f"at least {MIN_ATOM_LEN_CAP}, default max(block-len // 4, "
+        f"{MIN_ATOM_LEN_CAP}); extnorm never trims, so without a cap an atom's "
+        "tails can grow with every block",
     )
-    p_learn.add_argument("--carry-residual", action="store_true")
     p_learn.add_argument("--checkpoint-every", type=int, default=learn.checkpoint_every)
     p_learn.add_argument(
         "--checkpoint-dir", help="needs --checkpoint-every; default: --out's directory"

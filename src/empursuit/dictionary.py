@@ -10,12 +10,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataFormatError, ZeroAtomError
+from .signal_io import whole_number
 
 __all__ = [
     "Atom",
@@ -81,12 +81,11 @@ class Dictionary:
     def __post_init__(self) -> None:
         if len(self.atoms) < 1:
             raise ValueError("dictionary needs at least one atom")
-        rate = self.sample_rate_hint
-        if rate is not None:
-            whole = isinstance(rate, numbers.Real) and float(rate).is_integer()
-            if isinstance(rate, bool) or not whole or rate < 1:
-                raise ValueError(f"sample_rate_hint {rate!r} is not an integer >= 1")
-            self.sample_rate_hint = int(rate)
+        if self.sample_rate_hint is not None:
+            rate = whole_number(self.sample_rate_hint, "sample_rate_hint")
+            if rate < 1:
+                raise ValueError(f"sample_rate_hint must be >= 1, got {rate}")
+            self.sample_rate_hint = rate
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dictionary):

@@ -1,8 +1,8 @@
 """Block-alternating dictionary learning.
 
-dlearn() draws training blocks until its block or wall-clock budget runs
-out, sparse-codes each one with the configured pursuit, then moves every
-selected atom along the gradient of the block's squared-residual objective:
+dlearn() draws a fixed number of seeded training blocks, sparse-codes each
+one with the configured pursuit, then moves every selected atom along the
+gradient of the block's squared-residual objective:
 
     phi_i  <-  extnorm( phi_i + (eta / var(r)) * g_i ),
     g_i = sum over the atom's events of a_j * r[tau_j : tau_j + L_i]
@@ -19,7 +19,6 @@ adapt every atom every block.
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,18 +45,16 @@ MIN_ATOM_LEN_CAP = INIT_BODY_LEN + 2 * TAIL_LEN  # a fresh random atom's length
 
 @dataclass
 class LearnConfig:
-    """Dictionary size, pursuit settings, steplength, blocks and block budget."""
+    """Dictionary size, pursuit settings, steplength, block count and block length."""
 
     m: int = 32
     p: float = 0.05
     eta: float = 1e-6
     variant: str = "emp"
-    n_blocks: int | None = None
-    time_budget_s: float | None = None
+    n_blocks: int = 100
     seed: int = 0  # seeds the initial dictionary and the block positions
     block_len: int | None = None  # default: min(len(signal), 16384) at run time
     max_atom_len: int | None = None  # default: max(block_len // 4, 70) at run time
-    carry_residual: bool = False
     checkpoint_every: int = 0
 
     def __post_init__(self) -> None:
@@ -66,7 +63,7 @@ class LearnConfig:
         self.pursuit()  # checks p and variant
         if self.eta <= 0:
             raise ValueError("eta must be > 0")
-        if self.n_blocks is not None and self.n_blocks < 0:
+        if self.n_blocks < 0:
             raise ValueError("n_blocks must be >= 0")
         if self.block_len is not None and self.block_len < 1:
             raise ValueError(f"block_len must be positive, got {self.block_len}")
@@ -75,8 +72,6 @@ class LearnConfig:
                 f"max_atom_len must be >= {MIN_ATOM_LEN_CAP}, the initial atom "
                 f"length, got {self.max_atom_len}"
             )
-        if self.time_budget_s is not None and self.time_budget_s <= 0:
-            raise ValueError("time_budget_s must be > 0")
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must be >= 0")
 
@@ -173,21 +168,19 @@ def dlearn(
 ) -> tuple[Dictionary, list[BlockRecord]]:
     """Alternate pursuit and atom updates over training blocks of the signal.
 
-    Deterministic given cfg.seed. Stops at the block budget or the
-    wall-clock budget, whichever comes first. Raises ValueError before the
-    first block if neither is set (the block stream has no end), if the
-    block is longer than the signal, or if checkpoint_every is set without
-    a checkpoint_dir, and FileNotFoundError if that is no directory. With a
-    zero block budget the random initial dictionary is returned. Returns
-    the dictionary and one record per block.
+    Runs cfg.n_blocks blocks, block k drawn by next_block with (cfg.seed,
+    k), so the result is a pure function of the signal and cfg. Raises
+    ValueError before the first block if the block is longer than the
+    signal or if checkpoint_every is set without a checkpoint_dir, and
+    FileNotFoundError if that is no directory. With zero blocks the random
+    initial dictionary is returned. Returns the dictionary and one record
+    per block.
     """
-    if cfg.n_blocks is None and cfg.time_budget_s is None:
-        raise ValueError("set n_blocks or time_budget_s: the block stream has no end")
     if cfg.checkpoint_every > 0 and checkpoint_dir is None:
         raise ValueError("checkpoint_every > 0 needs a checkpoint_dir")
     if cfg.checkpoint_every > 0 and not os.path.isdir(checkpoint_dir):
         raise FileNotFoundError(f"no checkpoint directory {checkpoint_dir!r}")
-    # Budget, block and cap are validated positive, so `or` only replaces None.
+    # Block and cap are validated positive, so `or` only replaces None.
     block_len = cfg.block_len or min(len(signal), 16384)
     if block_len > len(signal):
         raise ValueError(f"block_len {block_len} exceeds signal length {len(signal)}")
@@ -198,16 +191,12 @@ def dlearn(
     rerand_rng = np.random.default_rng((cfg.seed, 0x5EED))
     pcfg = cfg.pursuit()
 
-    stop_at = time.monotonic() + (cfg.time_budget_s or np.inf)
-    step = 0
-    prev_residual: np.ndarray | None = None
-    while (cfg.n_blocks is None or step < cfg.n_blocks) and time.monotonic() < stop_at:
-        block = next_block(signal, block_len, cfg.seed, step, prev_residual)
+    for step in range(cfg.n_blocks):
+        block = next_block(signal, block_len, cfg.seed, step)
         code = match(dictionary, block, pcfg)
         dictionary = apply_update(
             dictionary, code, cfg.eta, max_atom_len=max_atom_len, rng=rerand_rng
         )
-        prev_residual = code.residual if cfg.carry_residual else None
 
         x2 = float(np.dot(block.samples, block.samples))
         r2 = float(np.dot(code.residual, code.residual))
@@ -228,11 +217,9 @@ def dlearn(
                 atom_lengths=[len(a.waveform) for a in dictionary.atoms],
             )
         )
-        step += 1
-        if cfg.checkpoint_every > 0 and step % cfg.checkpoint_every == 0:
-            save_dict(
-                dictionary, os.path.join(checkpoint_dir, f"dict_block{step:06d}.json")
-            )
+        if cfg.checkpoint_every > 0 and (step + 1) % cfg.checkpoint_every == 0:
+            name = f"dict_block{step + 1:06d}.json"
+            save_dict(dictionary, os.path.join(checkpoint_dir, name))
     return dictionary, trace
 
 

@@ -28,6 +28,16 @@ __all__ = [
 ]
 
 
+def whole_number(value, name: str) -> int:
+    """value as an int; ValueError for a bool, a string or a non-whole number."""
+    if isinstance(value, bool) or not (
+        isinstance(value, numbers.Integral)
+        or (isinstance(value, numbers.Real) and float(value).is_integer())
+    ):
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
 @dataclass
 class Signal:
     """A mono sampled signal: float64 amplitudes plus a sample rate in Hz.
@@ -44,13 +54,9 @@ class Signal:
             raise ValueError("signal must be a non-empty 1-D sample sequence")
         if not np.all(np.isfinite(self.samples)):
             raise ValueError("signal contains non-finite samples")
-        rate = self.sample_rate
-        whole = isinstance(rate, numbers.Real) and float(rate).is_integer()
-        if isinstance(rate, bool) or not whole:
-            raise ValueError(f"sample_rate must be a whole number, got {rate!r}")
-        if rate <= 0:
-            raise ValueError(f"sample_rate must be positive, got {rate}")
-        self.sample_rate = int(rate)
+        self.sample_rate = whole_number(self.sample_rate, "sample_rate")
+        if self.sample_rate <= 0:
+            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -208,39 +214,15 @@ def synth_signal(
     return Signal(out, sample_rate)
 
 
-# Share of a block cross-faded from the previous residual's tail.
-OVERLAP_FRAC = 0.1
-
-
-def next_block(
-    signal: Signal,
-    block_len: int,
-    seed: int,
-    step: int,
-    prev_residual: np.ndarray | None = None,
-) -> Signal:
+def next_block(signal: Signal, block_len: int, seed: int, step: int) -> Signal:
     """Training block ``step``: block_len <= len(signal) samples, seeded start.
 
-    The start is drawn from default_rng((seed, step)), so the endless block
-    sequence is a pure function of the seed. Given the previous block's
-    residual, the block head is cross-faded with its tail over OVERLAP_FRAC
-    of the block.
+    The start is drawn from default_rng((seed, step)), so the block
+    sequence is a pure function of the seed.
     """
     rng = np.random.default_rng((seed, step))
     start = int(rng.integers(0, len(signal) - block_len + 1))
-    block = signal.samples[start : start + block_len].copy()
-    if prev_residual is not None:
-        overlap = min(int(round(OVERLAP_FRAC * block_len)), len(prev_residual))
-        if overlap > 0:
-            # Raised-cosine cross-fade from the previous residual tail into
-            # the fresh block head.
-            t = (np.arange(overlap) + 0.5) / overlap
-            fade_in = 0.5 * (1.0 - np.cos(np.pi * t))
-            block[:overlap] = (
-                fade_in * block[:overlap]
-                + (1.0 - fade_in) * prev_residual[-overlap:]
-            )
-    return Signal(block, signal.sample_rate)
+    return Signal(signal.samples[start : start + block_len].copy(), signal.sample_rate)
 
 
 def add_noise(x: Signal, sigma_ratio: float, seed: int | tuple[int, ...] = 0) -> Signal:
@@ -296,8 +278,10 @@ def build_synth_signal(cfg: dict) -> tuple[Signal, list[np.ndarray]]:
                    or {"kind": "explicit", "events": [[atom, offset, amp], ...]}
 
     Raises DataFormatError for a malformed config: a missing or mistyped
-    key, an all-zero atom, an event on an atom that does not exist or
-    outside the signal, or a rate or noise level that is negative or NaN.
+    key, a length, sample rate, seed, atom count or event atom or offset
+    that is not a whole number (a bool, a string or 2000.5), an all-zero
+    atom, an event on an atom that does not exist or outside the signal,
+    or a rate or noise level that is negative or NaN.
     """
     try:
         return _synth_from_config(cfg)
@@ -306,9 +290,9 @@ def build_synth_signal(cfg: dict) -> tuple[Signal, list[np.ndarray]]:
 
 
 def _synth_from_config(cfg: dict) -> tuple[Signal, list[np.ndarray]]:
-    length = int(cfg["length"])
-    sample_rate = int(cfg.get("sample_rate", 16000))
-    seed = int(cfg.get("seed", 0))
+    length = whole_number(cfg["length"], "length")
+    sample_rate = whole_number(cfg.get("sample_rate", 16000), "sample_rate")
+    seed = whole_number(cfg.get("seed", 0), "seed")
     noise_sigma = float(cfg.get("noise_sigma", 0.0))
     atoms_cfg = cfg["atoms"]
     placements_cfg = cfg["placements"]
@@ -318,8 +302,8 @@ def _synth_from_config(cfg: dict) -> tuple[Signal, list[np.ndarray]]:
     kind = atoms_cfg.get("kind", "gaussian")
     if kind == "gaussian":
         rng = np.random.default_rng((seed, 1))
-        count = int(atoms_cfg["count"])
-        alen = int(atoms_cfg["length"])
+        count = whole_number(atoms_cfg["count"], "atoms count")
+        alen = whole_number(atoms_cfg["length"], "atoms length")
         raw = [rng.standard_normal(alen) for _ in range(count)]
     elif kind == "explicit":
         raw = [np.asarray(w, dtype=np.float64) for w in atoms_cfg["waveforms"]]
@@ -352,7 +336,8 @@ def _synth_from_config(cfg: dict) -> tuple[Signal, list[np.ndarray]]:
             )
     elif kind == "explicit":
         placements = [
-            (int(i), int(o), float(a)) for i, o, a in placements_cfg["events"]
+            (whole_number(i, "event atom"), whole_number(o, "event offset"), float(a))
+            for i, o, a in placements_cfg["events"]
         ]
     else:
         raise DataFormatError(f"unknown placements kind {kind!r}")

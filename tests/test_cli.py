@@ -195,14 +195,39 @@ class TestLearnCommand:
         assert "--checkpoint-dir needs --checkpoint-every" in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == ["synth.json"]
 
+    @pytest.mark.parametrize(
+        "trace", ["d.json", "sub/../d.json", "d.json.run.json"],
+        ids=["same-path", "same-file", "run-config"],
+    )
+    def test_output_named_twice_rejected_before_the_first_block(
+        self, tmp_path, synth_cfg, monkeypatch, capsys, trace
+    ):
+        """--trace naming --out's file (or its run config) would overwrite it."""
+        def no_block(*args):
+            raise AssertionError("a block was drawn")
+
+        monkeypatch.setattr(learner, "next_block", no_block)
+        (tmp_path / "sub").mkdir()
+        argv = [
+            "learn", "--synth", synth_cfg, "--atoms", "3", "--blocks", "2",
+            "--block-len", "1000", "--out", str(tmp_path / "d.json"),
+            "--trace", str(tmp_path / trace),
+        ]
+        assert main(argv) == EXIT_USAGE
+        assert "are one file" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["sub", "synth.json"]
+
     def test_defaults_come_from_the_configs(self):
         parser = build_parser()
         learn = parser.parse_args(["learn", "--synth", "s.json", "--out", "d.json"])
         cfg = LearnConfig()
         assert (
-            learn.atoms, learn.p, learn.eta, learn.variant, learn.seed,
+            learn.atoms, learn.p, learn.eta, learn.variant, learn.blocks, learn.seed,
             learn.checkpoint_every,
-        ) == (cfg.m, cfg.p, cfg.eta, cfg.variant, cfg.seed, cfg.checkpoint_every)
+        ) == (
+            cfg.m, cfg.p, cfg.eta, cfg.variant, cfg.n_blocks, cfg.seed,
+            cfg.checkpoint_every,
+        )
         pursuit = PursuitConfig()
         encode = parser.parse_args(
             ["encode", "--synth", "s.json", "--dict", "d.json", "--out", "x.code"]
@@ -282,6 +307,23 @@ class TestEncodeCommand:
         ]
         assert len(line) == 1
         assert math.isfinite(float(line[0].split("=")[1]))
+
+    def test_residual_named_as_out_rejected_before_any_pursuit(
+        self, tmp_path, synth_cfg, dict_path, monkeypatch, capsys
+    ):
+        """--residual naming --out's file would replace the code with raw bytes."""
+        def no_match(*args):
+            raise AssertionError("a pursuit ran")
+
+        monkeypatch.setattr(empursuit.cli, "match", no_match)
+        out = str(tmp_path / "y.code")
+        argv = [
+            "encode", "--synth", synth_cfg, "--dict", dict_path,
+            "--out", out, "--residual", out,
+        ]
+        assert main(argv) == EXIT_USAGE
+        assert "are one file" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["dict.json", "synth.json"]
 
 
 class TestReconstructCommand:
@@ -754,10 +796,21 @@ class TestExitCodes:
             {"placements": {"rate": float("nan")}},
             {"noise_sigma": -0.1},
             {"noise_sigma": float("nan")},
+            {"sample_rate": 16000.5},
+            {"sample_rate": True},
+            {"length": 2000.7},
+            {"length": "2000"},
+            {"seed": 1.5},
+            {"atoms": {"count": 3.9, "length": 10}},
+            {"placements": {"kind": "explicit", "events": [[0.9, 5, 1.0]]}},
+            {"placements": {"kind": "explicit", "events": [[0, 5.5, 1.0]]}},
         ],
         ids=[
             "no-count", "no-rate", "atoms-list", "event-atom-7", "event-atom-negative",
             "event-past-end", "zero-waveform", "nan-rate", "negative-noise", "nan-noise",
+            "rate-fraction", "rate-bool", "length-fraction", "length-string",
+            "seed-fraction", "count-fraction", "event-atom-fraction",
+            "event-offset-fraction",
         ],
     )
     def test_malformed_synth_config_is_data_exit(

@@ -15,7 +15,7 @@ from empursuit.learner import (
     dlearn,
     write_trace,
 )
-from empursuit.pursuit import PursuitConfig, SparseCode, SparseEvent, match
+from empursuit.pursuit import PursuitConfig, SparseCode, SparseEvent
 from empursuit.signal_io import Signal, next_block, synth_signal
 from reference_learner import loop_gradient, loop_update
 
@@ -62,7 +62,7 @@ class TestLearnConfig:
             {"eta": -1e-6},
             {"variant": "ksvd"},
             {"n_blocks": -1},
-            {"time_budget_s": 0.0},
+            {"block_len": -1},
             {"checkpoint_every": -1},
             {"max_atom_len": 0},
             {"max_atom_len": -5},
@@ -416,17 +416,6 @@ class TestDlearn:
         save_dict(d, tmp_path / "d.json")
         assert load_dict(tmp_path / "d.json").sample_rate_hint == 8000
 
-    def test_no_budget_is_rejected_before_the_first_block(self, monkeypatch):
-        src = training_source(9)
-        cfg = LearnConfig(m=2, p=0.04)
-
-        def no_block(*args):
-            raise AssertionError("a block was drawn")
-
-        monkeypatch.setattr(learner, "next_block", no_block)
-        with pytest.raises(ValueError, match="n_blocks or time_budget_s"):
-            dlearn(src, cfg)
-
     def test_checkpoints_without_a_directory_rejected_before_the_first_block(
         self, monkeypatch
     ):
@@ -463,45 +452,20 @@ class TestDlearn:
             )
             assert trace[0].signal_seconds == expected / 8000
 
-    @pytest.mark.parametrize("carry", [False, True])
-    def test_blocks_seeded_by_cfg_seed_and_carry_only_when_set(
-        self, monkeypatch, carry
-    ):
-        """dlearn draws block k with cfg.seed and, when carry_residual is set,
-        the residual of block k - 1; block 0 never gets a residual."""
-        calls, residuals = [], []
+    def test_blocks_seeded_by_cfg_seed(self, monkeypatch):
+        """dlearn draws block k as next_block(signal, block_len, cfg.seed, k)."""
+        calls = []
 
         def record_block(*args):
             calls.append(args)
             return next_block(*args)
 
-        def record_match(*args):
-            code = match(*args)
-            residuals.append(code.residual)
-            return code
-
         monkeypatch.setattr(learner, "next_block", record_block)
-        monkeypatch.setattr(learner, "match", record_match)
         src = training_source(11)
-        cfg = LearnConfig(m=2, p=0.04, eta=1e-4, n_blocks=3, seed=12,
-                          block_len=1500, carry_residual=carry)
+        cfg = LearnConfig(m=2, p=0.04, eta=1e-4, n_blocks=3, seed=12, block_len=1500)
         dlearn(src, cfg)
-        assert len(calls) == 3
-        for step, (signal, block_len, seed, k, prev) in enumerate(calls):
-            assert signal is src
-            assert (block_len, seed, k) == (1500, 12, step)
-            if step == 0 or not carry:
-                assert prev is None
-            else:
-                assert prev is residuals[step - 1]
-
-    def test_time_budget_stops_learning(self):
-        src = training_source(8)
-        cfg = LearnConfig(m=2, p=0.04, eta=1e-4, variant="emp",
-                          time_budget_s=0.4, seed=7, block_len=1500)
-        d, trace = dlearn(src, cfg)
-        assert len(trace) >= 1
-        assert len(d.atoms) == 2
+        assert all(args[0] is src for args in calls)
+        assert [args[1:] for args in calls] == [(1500, 12, k) for k in range(3)]
 
 
 class TestWriteTrace:
