@@ -22,7 +22,9 @@ import scipy
 from . import __version__
 from .dictionary import dict_digest, load_dict, save_dict
 from .errors import DataFormatError, DegenerateSignalError, ZeroAtomError
-from .learner import MIN_ATOM_LEN_CAP, LearnConfig, dlearn, write_trace
+from .learner import (
+    MIN_ATOM_LEN_CAP, LearnConfig, checkpoint_path, dlearn, write_trace,
+)
 from .metrics import (
     HISTOGRAM_BIN_COUNTS,
     clamp_db,
@@ -71,7 +73,7 @@ def _load_input(args) -> Signal:
         with open(args.synth) as fh:
             try:
                 cfg = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise DataFormatError(f"bad synth config {args.synth!r}: {exc}") from exc
         sig, _ = build_synth_signal(cfg)
         return sig
@@ -178,12 +180,16 @@ def cmd_learn(args) -> int:
         checkpoint_every=args.checkpoint_every,
     )
     trace_path = args.trace or args.out + ".trace.csv"
-    _check_outputs(args.out, trace_path)
+    every = args.checkpoint_every
+    if every > 0 and args.checkpoint_dir is None:
+        args.checkpoint_dir = os.path.dirname(args.out) or "."
+    blocks = range(every, args.blocks + 1, every) if every else ()
+    _check_outputs(
+        args.out, trace_path, *(checkpoint_path(args.checkpoint_dir, b) for b in blocks)
+    )
     for path in (args.out, trace_path):
         if not os.path.isdir(os.path.dirname(path) or "."):
             raise FileNotFoundError(f"no directory to write {path!r} in")
-    if args.checkpoint_every > 0 and args.checkpoint_dir is None:
-        args.checkpoint_dir = os.path.dirname(args.out) or "."
     dictionary, trace = dlearn(sig, cfg, checkpoint_dir=args.checkpoint_dir)
     save_dict(dictionary, args.out)
     write_trace(
@@ -205,7 +211,7 @@ def cmd_encode(args) -> int:
     _check_outputs(args.out, args.residual)
     dictionary = load_dict(args.dict)
     sig = _load_input(args)
-    cfg = PursuitConfig(variant=args.variant, p=args.p, iteration_budget=args.iters)
+    cfg = PursuitConfig(variant=args.variant, p=args.p)
     code = match(dictionary, sig, cfg)
     save_code(code, args.out, residual_path=args.residual)
     print(f"code={args.out}")
@@ -248,10 +254,7 @@ def cmd_eval(args) -> int:
         "p": args.p,
     }
     # Every variant is checked before the first pursuit runs.
-    cfgs = [
-        PursuitConfig(variant=v, p=args.p, iteration_budget=args.iters)
-        for v in args.variants.split(",")
-    ]
+    cfgs = [PursuitConfig(variant=v, p=args.p) for v in args.variants.split(",")]
 
     rows = []
     if args.analysis == "entropy":
@@ -378,8 +381,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_group(p_enc)
     p_enc.add_argument("--dict", required=True)
     p_enc.add_argument("--variant", choices=VARIANTS, default=PursuitConfig.variant)
-    p_enc.add_argument("--p", type=float, default=PursuitConfig.p)
-    p_enc.add_argument("--iters", type=int, help="mp/omp default: M*floor(p*N/M)")
+    p_enc.add_argument(
+        "--p", type=float, default=PursuitConfig.p,
+        help="default %(default)s; every variant takes M*floor(p*N/M) steps",
+    )
     p_enc.add_argument("--residual", help="raw float64 residual output")
     p_enc.add_argument("--out", required=True, help="sparse-code file to write")
     p_enc.set_defaults(func=cmd_encode)
@@ -408,10 +413,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_eval.add_argument(
         "--p", type=float, default=PursuitConfig.p,
-        help="default %(default)s; psweep replaces it with each --p-grid value",
-    )
-    p_eval.add_argument(
-        "--iters", type=int, help="cap on every pursuit; mp/omp default: M*floor(p*N/M)"
+        help="default %(default)s; every variant takes M*floor(p*N/M) steps; "
+        "psweep replaces it with each --p-grid value",
     )
     p_eval.add_argument("--ratios", default="0.05,0.1,0.2,0.3")
     p_eval.add_argument("--noise-seed", type=int, default=0)

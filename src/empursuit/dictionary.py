@@ -208,7 +208,7 @@ def load_dict(path) -> Dictionary:
             doc = json.load(fh)
     except FileNotFoundError:
         raise
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DataFormatError(f"malformed dictionary file {path!r}: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != _FORMAT_NAME:
         raise DataFormatError(f"{path!r} is not a dictionary file")

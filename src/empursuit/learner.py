@@ -36,6 +36,7 @@ __all__ = [
     "atom_gradient",
     "apply_update",
     "dlearn",
+    "checkpoint_path",
     "write_trace",
 ]
 
@@ -218,9 +219,13 @@ def dlearn(
             )
         )
         if cfg.checkpoint_every > 0 and (step + 1) % cfg.checkpoint_every == 0:
-            name = f"dict_block{step + 1:06d}.json"
-            save_dict(dictionary, os.path.join(checkpoint_dir, name))
+            save_dict(dictionary, checkpoint_path(checkpoint_dir, step + 1))
     return dictionary, trace
+
+
+def checkpoint_path(directory: str, block: int) -> str:
+    """File dlearn saves the dictionary to after its first `block` blocks."""
+    return os.path.join(directory, f"dict_block{block:06d}.json")
 
 
 def write_trace(trace: list[BlockRecord], path, header: dict) -> None:

@@ -12,10 +12,10 @@ contribution:
   emp      atoms below their quota       the new event only
   eomp     atoms below their quota       as omp
 
-Equiprobable variants (emp/eomp) cap each atom at Q = floor(p*N/M)
-selections per window and stop when every atom is at quota, so the
-empirical index distribution is exactly uniform. mp/omp default to an
-iteration budget of M*Q so all four variants are equally sparse.
+Every variant takes M*Q steps, Q = floor(p*N/M), unless a selection falls
+below the floor first, so all four are equally sparse. emp/eomp also cap
+each atom at Q selections per window: every atom ends at quota, and the
+empirical index distribution is exactly uniform.
 
 Correlations of every atom at every offset live in one table, built once
 per window and then updated incrementally. The build is exact: one matmul
@@ -140,19 +140,17 @@ _OVERLAP_SAVE_LMAX = 200
 
 @dataclass
 class PursuitConfig:
-    """Variant, average selection probability, and optional iteration cap."""
+    """Variant and average selection probability p. Every variant takes M*Q
+    steps, Q = floor(p*N/M), on N samples and M atoms, or stops at the floor."""
 
     variant: str = "emp"
     p: float = 0.05
-    iteration_budget: int | None = None
 
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if not 0.0 < self.p < 1.0:
             raise ValueError("p must be in (0, 1)")
-        if self.iteration_budget is not None and self.iteration_budget < 0:
-            raise ValueError("iteration_budget must be >= 0")
 
     @property
     def equiprobable(self) -> bool:
@@ -620,6 +618,9 @@ def match(
     if bad is not None:
         raise ValueError(f"atom {bad} is not unit norm")
 
+    q = config.quota(n, m)
+    if q < 1:
+        raise ValueError(f"quota floor(p*N/M) = {q} < 1; raise p or the window length")
     code = SparseCode(
         events=[],
         residual=samples.copy(),
@@ -634,18 +635,7 @@ def match(
         return code
 
     equiprobable = config.equiprobable
-    q = config.quota(n, m)
-    if equiprobable and q < 1:
-        raise ValueError(
-            f"equiprobable quota floor(p*N/M) = {q} < 1; "
-            "raise p or use a longer window"
-        )
     counts = [0] * m  # selections per atom, kept by emp/eomp
-    budget = config.iteration_budget
-    if budget is None:
-        # emp/eomp stop once every atom is at quota; mp/omp at M*Q, for
-        # sparsity parity with them.
-        budget = sys.maxsize if equiprobable else m * q
 
     residual = code.residual
     events = code.events
@@ -654,8 +644,7 @@ def match(
     local = config.variant in _LOCAL_LSQ
     starts: list[tuple[int, int]] = []  # neighborhood()'s index, kept by omp/eomp
 
-    k = 0
-    while k < budget:
+    for k in range(m * q):
         picked = select(table, floor)
         if picked is None:
             break
@@ -689,7 +678,6 @@ def match(
             counts[i] += 1
             if counts[i] >= q:
                 table.deactivate(i)
-        k += 1
 
         if on_step is not None:
             on_step(

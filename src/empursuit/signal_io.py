@@ -112,7 +112,10 @@ def _read_wav(buf: bytes) -> tuple[int, np.ndarray, int]:
             data = np.frombuffer(body, f"{order}i{width}", n)
         samples = data.astype(np.float64) / _PCM_SCALE[width]
     elif tag == _FLOAT and bits in (32, 64) and width == bits // 8:
-        samples = np.frombuffer(body, f"{order}f{width}", n).astype(np.float64)
+        raw = np.frombuffer(body, f"{order}f{width}", n)
+        if not np.all(np.isfinite(raw)):  # the cast would warn on a signalling NaN
+            raise ValueError("non-finite samples")
+        samples = raw.astype(np.float64)
     else:
         raise ValueError(
             f"unsupported encoding: format tag {tag:#06x}, {bits} bits, "

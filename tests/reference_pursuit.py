@@ -21,7 +21,6 @@ def naive_match(
     x: np.ndarray,
     variant: str,
     p: float,
-    iteration_budget: int | None = None,
     floor_ratio: float = 1e-12,
 ):
     """Run the reference pursuit; returns a list of event dicts and the residual."""
@@ -31,8 +30,7 @@ def naive_match(
     q = math.floor(p * n / m)
     equi = variant in ("emp", "eomp")
     local = variant in ("omp", "eomp")
-    if iteration_budget is None and not equi:
-        iteration_budget = m * q
+    budget = None if equi else m * q
     counts = [0] * m
     events: list[dict] = []
     residual = x.copy()
@@ -41,7 +39,7 @@ def naive_match(
         return events, residual
 
     k = 0
-    while iteration_budget is None or k < iteration_budget:
+    while budget is None or k < budget:
         if equi and all(c >= q for c in counts):
             break
         best_val = -1.0

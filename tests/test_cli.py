@@ -217,6 +217,47 @@ class TestLearnCommand:
         assert "are one file" in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == ["sub", "synth.json"]
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--trace", "dict_block000001.json", "--out", "d.json"],
+            ["--out", "dict_block000002.json"],
+            ["--checkpoint-dir", "ck", "--trace", "./ck/dict_block000002.json",
+             "--out", "d.json"],
+        ],
+        ids=["trace", "out", "checkpoint-dir"],
+    )
+    def test_output_named_as_a_checkpoint_rejected_before_the_first_block(
+        self, tmp_path, synth_cfg, monkeypatch, capsys, flags
+    ):
+        """A checkpoint would overwrite the output, or the output the checkpoint."""
+        def no_block(*args):
+            raise AssertionError("a block was drawn")
+
+        monkeypatch.setattr(learner, "next_block", no_block)
+        (tmp_path / "ck").mkdir()
+        monkeypatch.chdir(tmp_path)
+        argv = [
+            "learn", "--synth", synth_cfg, "--atoms", "3", "--blocks", "2",
+            "--block-len", "1000", "--checkpoint-every", "1",
+        ]
+        assert main(argv + flags) == EXIT_USAGE
+        assert "are one file" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["ck", "synth.json"]
+        assert os.listdir(tmp_path / "ck") == []
+
+    def test_checkpoint_names_off_the_schedule_are_free(self, tmp_path, synth_cfg):
+        """Only the blocks a run checkpoints after name files it writes."""
+        argv = [
+            "learn", "--synth", synth_cfg, "--atoms", "3", "--blocks", "3",
+            "--block-len", "1000", "--checkpoint-every", "2",
+            "--trace", str(tmp_path / "dict_block000001.json"),
+            "--out", str(tmp_path / "dict_block000004.json"),
+        ]
+        assert main(argv) == EXIT_OK
+        assert load_dict(tmp_path / "dict_block000002.json")
+        assert read_table(tmp_path / "dict_block000001.json")[1][0] == "block"
+
     def test_defaults_come_from_the_configs(self):
         parser = build_parser()
         learn = parser.parse_args(["learn", "--synth", "s.json", "--out", "d.json"])
@@ -480,15 +521,16 @@ class TestEvalCommand:
     def test_single_atom_index_entropy_prints_positive_zero(
         self, tmp_path, synth_cfg, dict_path
     ):
+        one_atom = str(tmp_path / "one.json")
+        save_dict(randdict(1, seed=2, sample_rate_hint=8000), one_atom)
         out = str(tmp_path / "hist.csv")
         flags = [
-            "eval", "--synth", synth_cfg, "--dict", dict_path,
-            "--analysis", "entropy", "--variants", "mp", "--iters", "1",
-            "--out", out,
+            "eval", "--synth", synth_cfg, "--dict", one_atom,
+            "--analysis", "entropy", "--variants", "mp", "--out", out,
         ]
         assert main(flags) == EXIT_OK
         _, columns, rows = read_table(out)
-        assert [r[:3] for r in rows] == [["mp", "1", "0.000000"]]
+        assert [r[:3] for r in rows] == [["mp", "100", "0.000000"]]  # Q = 0.05 * 2000
 
     def test_denoise_table(self, tmp_path, synth_cfg, dict_path):
         out = str(tmp_path / "denoise.csv")
@@ -535,7 +577,7 @@ class TestEvalCommand:
         calls = []
 
         def recording_match(dictionary, x, cfg):
-            calls.append((cfg.variant, cfg.iteration_budget, cfg.p))
+            calls.append((cfg.variant, cfg.p))
             return empursuit.pursuit.match(dictionary, x, cfg)
 
         monkeypatch.setattr(empursuit.cli, "match", recording_match)
@@ -543,26 +585,26 @@ class TestEvalCommand:
         out = str(tmp_path / f"{analysis}.csv")
         argv = [
             "eval", "--synth", synth_cfg, "--dict", dict_path, "--analysis", analysis,
-            "--variants", "mp,emp", "--iters", "5", "--p-grid", "0.04:0.02:0.06",
+            "--variants", "mp,emp", "--p", "0.01", "--p-grid", "0.04:0.02:0.06",
             "--ratios", "0.1", "--out", out,
         ]
         assert main(argv) == EXIT_OK
-        grid = [0.04, 0.06] if analysis == "psweep" else [0.05]
-        assert calls == [(v, 5, pytest.approx(p)) for v in ("mp", "emp") for p in grid]
+        grid = [0.04, 0.06] if analysis == "psweep" else [0.01]
+        assert calls == [(v, pytest.approx(p)) for v in ("mp", "emp") for p in grid]
         _, columns, rows = read_table(out)
         assert columns[0] == "variant"
         column = [r[0] for r in rows]
         assert column == sorted(column, key=["mp", "emp"].index)  # mp's rows first
         assert set(column) == {"mp", "emp"}
         if analysis in ("rates", "histograms"):
-            # Each variant's counts add up to its 5 events.
+            # Each variant's counts add up to its M*Q = 4*floor(0.01*2000/4) events.
             duration = 2000 / 8000
             for v in ("mp", "emp"):
                 if analysis == "rates":
                     total = sum(float(r[2]) for r in rows if r[0] == v) * duration
                 else:
                     total = sum(int(r[3]) for r in rows if r[0] == v and r[1] == "16")
-                assert total == pytest.approx(5)
+                assert total == pytest.approx(20)
 
 
 class TestProfileCommand:
@@ -600,7 +642,10 @@ class TestRunConfigEmission:
         assert cfg["argv_command"] == "encode"
         assert cfg["variant"] == "emp"
         assert cfg["p"] == 0.05
-        assert cfg["iters"] is None
+        assert sorted(cfg) == [
+            "argv_command", "command", "dict", "environment", "input", "out", "p",
+            "residual", "synth", "variant",
+        ]
 
     def test_records_environment_outside_the_digest(self, tmp_path, synth_cfg):
         out = str(tmp_path / "d.json")
@@ -716,13 +761,28 @@ class TestExitCodes:
                 ["encode", "--synth", "{synth}", "--dict", "{dict}", "--p", "0.001"],
                 "quota floor(p*N/M) = 0 < 1",
             ),
+            (
+                ["encode", "--synth", "{synth}", "--dict", "{dict}", "--variant", "mp",
+                 "--p", "0.001"],
+                "quota floor(p*N/M) = 0 < 1",
+            ),
+            (
+                ["encode", "--synth", "{synth}", "--dict", "{dict}", "--iters", "3"],
+                "unrecognized arguments: --iters 3",
+            ),
+            (
+                ["eval", "--synth", "{synth}", "--dict", "{dict}",
+                 "--analysis", "entropy", "--iters", "3"],
+                "unrecognized arguments: --iters 3",
+            ),
             (["profile", "--windows", ","], "--windows must list lengths >= 1"),
             (["profile", "--windows", "-5"], "--windows must list lengths >= 1"),
             (["profile", "--windows", "0"], "--windows must list lengths >= 1"),
         ],
         ids=[
             "sample-rate-0", "repeats-0", "p-grid-step-0", "unknown-variant",
-            "bad-ratio", "quota-below-1", "windows-empty", "windows-negative",
+            "bad-ratio", "quota-below-1", "quota-below-1-mp", "encode-iters",
+            "eval-iters", "windows-empty", "windows-negative",
             "windows-0",
         ],
     )
@@ -770,6 +830,19 @@ class TestExitCodes:
         argv = ["encode", "--input", str(wav), "--dict", dict_path, "--out", out]
         assert main(argv) == EXIT_DATA
         assert message in capsys.readouterr().err
+        assert not os.path.exists(out) and not os.path.exists(out + ".run.json")
+
+    @pytest.mark.parametrize("flag", ["--dict", "--synth"])
+    def test_non_utf8_json_input_is_data_exit(
+        self, tmp_path, synth_cfg, dict_path, capsys, flag
+    ):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        inputs = {"--synth": synth_cfg, "--dict": dict_path, flag: str(bad)}
+        out = str(tmp_path / "x.code")
+        argv = ["encode", *(a for kv in inputs.items() for a in kv), "--out", out]
+        assert main(argv) == EXIT_DATA
+        assert "codec can't decode" in capsys.readouterr().err
         assert not os.path.exists(out) and not os.path.exists(out + ".run.json")
 
     def test_unparseable_synth_config_is_data_exit(self, tmp_path, dict_path):

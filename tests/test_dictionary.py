@@ -225,6 +225,12 @@ class TestSerialization:
         with pytest.raises(DataFormatError):
             load_dict(path)
 
+    def test_non_utf8_file_structured_error(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(DataFormatError, match="malformed dictionary file"):
+            load_dict(path)
+
     def test_wrong_format_rejected(self, tmp_path):
         path = tmp_path / "other.json"
         path.write_text('{"format": "something-else", "format_version": 1}')

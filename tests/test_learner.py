@@ -77,10 +77,7 @@ class TestLearnConfig:
     def test_pursuit_conversion(self):
         cfg = LearnConfig(variant="eomp", p=0.02)
         pcfg = cfg.pursuit()
-        assert isinstance(pcfg, PursuitConfig)
-        assert pcfg.variant == "eomp"
-        assert pcfg.p == 0.02
-        assert pcfg.iteration_budget is None
+        assert pcfg == PursuitConfig(variant="eomp", p=0.02)
 
 
 class TestAtomGradient:

@@ -167,10 +167,6 @@ class TestPursuitConfig:
         with pytest.raises(ValueError):
             PursuitConfig(p=p)
 
-    def test_negative_budget_rejected(self):
-        with pytest.raises(ValueError):
-            PursuitConfig(iteration_budget=-1)
-
     def test_quota_formula(self):
         assert PursuitConfig(p=0.05).quota(200_000, 32) == 312
         assert PursuitConfig(p=0.05).quota(1000, 32) == 1
@@ -320,9 +316,9 @@ class TestReferenceEquivalence:
         waveforms = [np.eye(3)[0], np.eye(3)[2]]
         x = np.zeros(64)
         x[20] = 1.0
-        cfg = PursuitConfig(variant=variant, p=0.25, iteration_budget=1)
+        cfg = PursuitConfig(variant=variant, p=0.25)
         code = match(as_dictionary(waveforms), x, cfg)
-        ref_events, ref_residual = naive_match(waveforms, x, variant, 0.25, 1)
+        ref_events, ref_residual = naive_match(waveforms, x, variant, 0.25)
         got = [(ev.atom_index, ev.offset, ev.coefficient) for ev in code.events]
         want = [(ev["atom"], ev["offset"], ev["coeff"]) for ev in ref_events]
         assert got == want == [(1, 18, 1.0)]
@@ -443,16 +439,19 @@ class TestQuotaExactness:
         with pytest.raises(ValueError, match="quota"):
             match(d, x, PursuitConfig(variant="emp", p=0.01))
 
-    def test_zero_budget_yields_empty_code(self, tiny_dict, noise_signal):
-        cfg = PursuitConfig(variant="mp", p=0.05, iteration_budget=0)
-        code = match(tiny_dict, noise_signal, cfg)
-        assert code.events == []
-        np.testing.assert_array_equal(code.residual, noise_signal)
+    @pytest.mark.parametrize("variant", ["mp", "omp"])
+    def test_plain_variants_reject_quota_below_one(self, variant):
+        """M*Q = 0 steps would be an empty code; every variant rejects it."""
+        d = randdict(4, seed=0)
+        x = np.random.default_rng(0).standard_normal(100)
+        with pytest.raises(ValueError, match=r"quota floor\(p\*N/M\) = 0 < 1"):
+            match(d, x, PursuitConfig(variant=variant, p=0.01))
 
-    def test_explicit_budget_caps_equiprobable(self, tiny_dict, noise_signal):
-        cfg = PursuitConfig(variant="emp", p=0.2, iteration_budget=3)
-        code = match(tiny_dict, noise_signal, cfg)
-        assert len(code.events) == 3
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_quota_below_one_rejected_on_a_zero_signal(self, variant):
+        """The quota is checked before the input is looked at."""
+        with pytest.raises(ValueError, match="quota"):
+            match(randdict(4, seed=0), np.zeros(100), PursuitConfig(variant, p=0.01))
 
 
 class TestReconstruction:
@@ -1062,7 +1061,7 @@ class TestMatchValidation:
             return picks[-1]
 
         monkeypatch.setattr(pursuit, "select", repeat_first)
-        cfg = PursuitConfig(variant=variant, p=0.1, iteration_budget=2)
+        cfg = PursuitConfig(variant=variant, p=0.04)  # M*Q = 2*floor(1.28) = 2 steps
         code = match(d, x, cfg)
         first, second = code.events
         assert (second.atom_index, second.offset) == (first.atom_index, first.offset)

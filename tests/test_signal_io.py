@@ -304,6 +304,15 @@ class TestWavScipyCompatibility:
                 ),
                 id="float NaN sample",
             ),
+            pytest.param(
+                wav_image(
+                    [
+                        fmt_chunk(3, 1, 4, 32),
+                        (b"data", np.array([0x3F000000, 0x7FA00000], "<u4").tobytes()),
+                    ]
+                ),
+                id="float signalling NaN sample",
+            ),
         ],
     )
     def test_bad_files_are_data_errors(self, tmp_path, image):
