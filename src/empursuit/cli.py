@@ -125,12 +125,27 @@ def _config_digest(args) -> str:
     return hashlib.sha256(_run_config(args).encode()).hexdigest()[:16]
 
 
-def _check_outputs(out: str, *others: str | None) -> None:
-    """Reject a run that would write two of its outputs, or one of them and
-    the run config `<out>.run.json`, to one file."""
-    paths = [out, out + ".run.json", *filter(None, others)]
-    if len({os.path.realpath(p) for p in paths}) < len(paths):
-        raise ValueError(f"two of the outputs {paths} are one file")
+def _check_outputs(args, *others: str | None) -> None:
+    """Reject, before any work, a run whose outputs (with `<out>.run.json`) name
+    one file twice, name one of its inputs, or lie in no directory."""
+    outputs = [args.out, args.out + ".run.json", *filter(None, others)]
+    written = {os.path.realpath(p) for p in outputs}
+    if len(written) < len(outputs):
+        raise ValueError(f"two of the outputs {outputs} are one file")
+    for path in filter(None, map(vars(args).get, ("input", "synth", "dict", "code"))):
+        if os.path.realpath(path) in written:
+            raise ValueError(f"an output would overwrite the input {path!r}")
+    for path in outputs:
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise FileNotFoundError(f"no directory to write {path!r} in")
+
+
+def _write_csv(args, dictionary, columns, rows, **header) -> None:
+    """Write a table under the run's digests and then the command's own keys."""
+    digest = dict_digest(dictionary)
+    header = {"config_digest": _config_digest(args), "dict_digest": digest, **header}
+    write_table(args.out, columns, rows, header)
+    print(f"csv={args.out}")
 
 
 def _csv_list(text: str, kind: type) -> list:
@@ -142,15 +157,16 @@ def _csv_list(text: str, kind: type) -> list:
 
 
 def _parse_grid(text: str) -> list[float]:
-    """start:step:stop inclusive, e.g. 0.01:0.01:0.10."""
+    """start:step:stop inclusive, e.g. 0.01:0.01:0.10, stepped in exact fractions
+    so that each value is the decimal it names (0.07, not 0.06999999999999999)."""
+    from fractions import Fraction  # imports decimal (~4 ms); only psweep needs it
     parts = text.split(":")
-    if len(parts) != 3:
+    if len(parts) != 3 or "/" in text:  # Fraction would also read 1/3, or 1/0
         raise ValueError(f"grid must be start:step:stop, got {text!r}")
-    start, step, stop = (float(t) for t in parts)
+    start, step, stop = (Fraction(t) for t in parts)
     if step <= 0 or stop < start:
         raise ValueError(f"bad grid {text!r}")
-    n = int(round((stop - start) / step)) + 1
-    return [start + i * step for i in range(n)]
+    return [float(start + i * step) for i in range((stop - start) // step + 1)]
 
 
 def _cpu_model() -> str:
@@ -185,11 +201,8 @@ def cmd_learn(args) -> int:
         args.checkpoint_dir = os.path.dirname(args.out) or "."
     blocks = range(every, args.blocks + 1, every) if every else ()
     _check_outputs(
-        args.out, trace_path, *(checkpoint_path(args.checkpoint_dir, b) for b in blocks)
+        args, trace_path, *(checkpoint_path(args.checkpoint_dir, b) for b in blocks)
     )
-    for path in (args.out, trace_path):
-        if not os.path.isdir(os.path.dirname(path) or "."):
-            raise FileNotFoundError(f"no directory to write {path!r} in")
     dictionary, trace = dlearn(sig, cfg, checkpoint_dir=args.checkpoint_dir)
     save_dict(dictionary, args.out)
     write_trace(
@@ -208,7 +221,7 @@ def cmd_learn(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    _check_outputs(args.out, args.residual)
+    _check_outputs(args, args.residual)
     dictionary = load_dict(args.dict)
     sig = _load_input(args)
     cfg = PursuitConfig(variant=args.variant, p=args.p)
@@ -226,6 +239,7 @@ def cmd_encode(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
+    _check_outputs(args)
     dictionary = load_dict(args.dict)
     code = load_code(args.code)
     rate = args.sample_rate
@@ -243,73 +257,70 @@ def cmd_reconstruct(args) -> int:
     return EXIT_OK
 
 
+def _entropy_rows(args, dictionary, sig, cfg) -> list:
+    code = match(dictionary, sig, cfg)
+    bits = [index_entropy(code, len(dictionary.atoms))]
+    bits += [coeff_entropy(code, bins) for bins in HISTOGRAM_BIN_COUNTS]
+    return [(len(code.events), *(f"{b:.6f}" for b in bits))]
+
+
+def _rates_rows(args, dictionary, sig, cfg) -> list:
+    code = match(dictionary, sig, cfg)
+    rates = event_rates(code, sig.sample_rate, len(dictionary.atoms))
+    return [(i, f"{r:.6f}") for i, r in rates_table(rates)]
+
+
+def _histogram_rows(args, dictionary, sig, cfg) -> list:
+    code = match(dictionary, sig, cfg)
+    hists = [(bins, coeff_histogram(code, bins)) for bins in HISTOGRAM_BIN_COUNTS]
+    return [(bins, b, int(n)) for bins, hist in hists for b, n in enumerate(hist)]
+
+
+def _denoise_rows(args, dictionary, sig, cfg) -> list:
+    ratios = _csv_list(args.ratios, float)
+    sweep = denoise_sweep(dictionary, sig, ratios, cfg, noise_seed=args.noise_seed)
+    return [(ratio, f"{clamp_db(snr):.2f}") for ratio, snr in sweep]
+
+
+def _psweep_rows(args, dictionary, sig, cfg) -> list:
+    sweep = p_sweep(dictionary, sig, _parse_grid(args.p_grid), cfg)
+    return [(f"{p:.4f}", f"{clamp_db(snr):.2f}") for p, snr in sweep]
+
+
+# Each analysis `eval` runs: its columns after `variant`, its rows for one
+# pursuit configuration, and the flags its CSV header records after `p`.
+_ANALYSES = {
+    "entropy": (
+        ["events", "index_entropy_bits"]
+        + [f"coeff_entropy_{b}" for b in HISTOGRAM_BIN_COUNTS],
+        _entropy_rows, (),
+    ),
+    "rates": (["atom_index", "events_per_second"], _rates_rows, ()),
+    "histograms": (["bins", "bin_index", "count"], _histogram_rows, ()),
+    "denoise": (["noise_ratio", "snr_db"], _denoise_rows, ("noise_seed",)),
+    "psweep": (["p", "snr_db"], _psweep_rows, ()),
+}
+
+
 def cmd_eval(args) -> int:
+    _check_outputs(args)
     dictionary = load_dict(args.dict)
     sig = _load_input(args)
-    m = len(dictionary.atoms)
-    header = {
-        "config_digest": _config_digest(args),
-        "dict_digest": dict_digest(dictionary),
-        "analysis": args.analysis,
-        "p": args.p,
-    }
+    columns, rows_for, flags = _ANALYSES[args.analysis]
     # Every variant is checked before the first pursuit runs.
     cfgs = [PursuitConfig(variant=v, p=args.p) for v in args.variants.split(",")]
-
-    rows = []
-    if args.analysis == "entropy":
-        for cfg in cfgs:
-            code = match(dictionary, sig, cfg)
-            row = [
-                cfg.variant,
-                len(code.events),
-                f"{index_entropy(code, m):.6f}",
-            ]
-            row += [
-                f"{coeff_entropy(code, bins):.6f}" for bins in HISTOGRAM_BIN_COUNTS
-            ]
-            rows.append(row)
-        columns = ["variant", "events", "index_entropy_bits"] + [
-            f"coeff_entropy_{b}" for b in HISTOGRAM_BIN_COUNTS
-        ]
-    elif args.analysis == "rates":
-        for cfg in cfgs:
-            code = match(dictionary, sig, cfg)
-            rates = event_rates(code, sig.sample_rate, m)
-            rows += [(cfg.variant, i, f"{r:.6f}") for i, r in rates_table(rates)]
-        columns = ["variant", "atom_index", "events_per_second"]
-    elif args.analysis == "histograms":
-        for cfg in cfgs:
-            code = match(dictionary, sig, cfg)
-            for bins in HISTOGRAM_BIN_COUNTS:
-                hist = coeff_histogram(code, bins)
-                rows += [
-                    (cfg.variant, bins, b, int(count)) for b, count in enumerate(hist)
-                ]
-        columns = ["variant", "bins", "bin_index", "count"]
-    elif args.analysis == "denoise":
-        ratios = _csv_list(args.ratios, float)
-        for cfg in cfgs:
-            for ratio, snr in denoise_sweep(
-                dictionary, sig, ratios, cfg, noise_seed=args.noise_seed
-            ):
-                rows.append((cfg.variant, ratio, f"{clamp_db(snr):.2f}"))
-        header["noise_seed"] = args.noise_seed
-        columns = ["variant", "noise_ratio", "snr_db"]
-    elif args.analysis == "psweep":
-        p_values = _parse_grid(args.p_grid)
-        for cfg in cfgs:
-            rows += [
-                (cfg.variant, f"{p:.4f}", f"{clamp_db(snr):.2f}")
-                for p, snr in p_sweep(dictionary, sig, p_values, cfg)
-            ]
-        columns = ["variant", "p", "snr_db"]
-    write_table(args.out, columns, rows, header)
-    print(f"csv={args.out}")
+    rows = [
+        (cfg.variant, *r) for cfg in cfgs for r in rows_for(args, dictionary, sig, cfg)
+    ]
+    _write_csv(
+        args, dictionary, ["variant", *columns], rows,
+        analysis=args.analysis, p=args.p, **{f: getattr(args, f) for f in flags},
+    )
     return EXIT_OK
 
 
 def cmd_profile(args) -> int:
+    _check_outputs(args)
     windows = _csv_list(args.windows, int)
     if not windows or min(windows) < 1:
         raise ValueError(f"--windows must list lengths >= 1, got {args.windows!r}")
@@ -318,27 +329,13 @@ def cmd_profile(args) -> int:
     else:
         dictionary = profile_dictionary(args.atoms, args.atom_len, seed=args.seed)
     sig = profile_signal(dictionary, max(windows), seed=args.seed)
-    rows = timing_profile(
-        dictionary,
-        sig,
-        windows,
-        p=args.p,
-        repeats=args.repeats,
-    )
-    header = {
-        "config_digest": _config_digest(args),
-        "dict_digest": dict_digest(dictionary),
-        "cpu_model": _cpu_model(),
-        "p": args.p,
-        "repeats": args.repeats,
-    }
-    write_table(
-        args.out,
+    rows = timing_profile(dictionary, sig, windows, p=args.p, repeats=args.repeats)
+    _write_csv(
+        args, dictionary,
         ["variant", "window_len", "seconds_per_sample_per_iteration"],
         [(v, n, f"{t:.3e}") for v, n, t in rows],
-        header,
+        cpu_model=_cpu_model(), p=args.p, repeats=args.repeats,
     )
-    print(f"csv={args.out}")
     return EXIT_OK
 
 
@@ -402,11 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="run an analysis and write a CSV")
     _add_input_group(p_eval)
     p_eval.add_argument("--dict", required=True)
-    p_eval.add_argument(
-        "--analysis",
-        required=True,
-        choices=("entropy", "rates", "histograms", "denoise", "psweep"),
-    )
+    p_eval.add_argument("--analysis", required=True, choices=_ANALYSES)
     p_eval.add_argument(
         "--variants", default=",".join(VARIANTS),
         help="comma list, default %(default)s; every analysis runs each",
@@ -450,7 +443,7 @@ def main(argv=None) -> int:
     except (DegenerateSignalError, ZeroAtomError, np.linalg.LinAlgError) as exc:
         print(f"error: numerical degeneracy: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (DataFormatError, FileNotFoundError, IsADirectoryError) as exc:
+    except (DataFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ValueError as exc:

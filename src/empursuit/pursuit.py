@@ -67,7 +67,7 @@ import scipy
 
 from .dictionary import Dictionary, _non_unit_atom, dict_digest
 from .errors import DataFormatError
-from .signal_io import Signal
+from .signal_io import MAX_WAV_SAMPLES, Signal
 
 __all__ = [
     "VARIANTS",
@@ -746,10 +746,10 @@ def load_code(path, residual_path=None) -> SparseCode:
     A malformed file raises DataFormatError: a bad record, a negative atom
     index or offset, an offset at or past the window length, a non-finite
     coefficient or residual sample, a header value that does not parse, a
-    window length below 1, a p outside (0, 1), a sample rate below 1, an
-    unknown variant, or a residual of the wrong length. An event that
-    overruns the window by its atom's length needs the dictionary to see:
-    reconstruct() rejects it.
+    window length below 1 or above MAX_WAV_SAMPLES, a p outside (0, 1), a
+    sample rate below 1, an unknown variant, or a residual of the wrong
+    length. An event that overruns the window by its atom's length needs
+    the dictionary to see: reconstruct() rejects it.
     """
     header: dict[str, str] = {}
     events: list[SparseEvent] = []
@@ -793,8 +793,8 @@ def load_code(path, residual_path=None) -> SparseCode:
         sample_rate = int(header["sample_rate"]) if header.get("sample_rate") else None
     except ValueError as exc:
         raise DataFormatError(f"bad header value in {path!r}: {exc}") from exc
-    if window_len < 1:
-        raise DataFormatError(f"missing or non-positive window_len in {path!r}")
+    if not 1 <= window_len <= MAX_WAV_SAMPLES:
+        raise DataFormatError(f"bad window_len {window_len} in {path!r}")
     if p is not None and not 0.0 < p < 1.0:
         raise DataFormatError(f"bad p {p!r} in {path!r}: must lie in (0, 1)")
     if sample_rate is not None and sample_rate <= 0:

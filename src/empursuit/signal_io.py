@@ -72,6 +72,8 @@ _GUID_TAIL = {
 # Full scale per PCM container width in bytes. 24-bit samples are read
 # left-justified into 32 bits, so 24- and 32-bit files share one scale.
 _PCM_SCALE = {2: 32768.0, 3: 2147483648.0, 4: 2147483648.0}
+# A RIFF chunk size is 32 bits, so no WAV holds more 2-byte (PCM16) samples.
+MAX_WAV_SAMPLES = (2**32 - 1) // 2
 
 
 def _read_wav(buf: bytes) -> tuple[int, np.ndarray, int]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import errno
 import hashlib
 import json
 import math
@@ -23,6 +24,7 @@ from empursuit.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
     EXIT_USAGE,
+    _parse_grid,
     build_parser,
     main,
 )
@@ -570,6 +572,34 @@ class TestEvalCommand:
             (v, p) for v in VARIANTS for p in ("0.0200", "0.0400", "0.0600")
         ]
 
+    @pytest.mark.parametrize(
+        "grid, values",
+        [
+            (None, [0.01, 0.02, 0.03, 0.04, 0.05, 0.06, 0.07, 0.08, 0.09, 0.1]),
+            ("1e-2:1e-2:3e-2", [0.01, 0.02, 0.03]),
+            ("0.02:0.03:0.1", [0.02, 0.05, 0.08]),  # no step past the stop
+        ],
+        ids=["default", "exponents", "stop-between-steps"],
+    )
+    def test_p_grid_values_are_the_decimals_typed(self, grid, values):
+        argv = ["eval", "--synth", "s", "--dict", "d", "--analysis", "psweep"]
+        argv += ["--out", "o"] + (["--p-grid", grid] if grid else [])
+        assert _parse_grid(build_parser().parse_args(argv).p_grid) == values
+
+    def test_psweep_row_is_the_run_at_its_p(self, tmp_path, synth_cfg, dict_path):
+        """The default grid's 0.07 is p = 0.07: a float step to 0.06999999999999999
+        would code M*floor(pN/M) = 4*34 events, not 4*35."""
+        tables = []
+        for grid in ("0.01:0.01:0.10", "0.07:0.01:0.07"):
+            out = str(tmp_path / "psweep.csv")
+            argv = [
+                "eval", "--synth", synth_cfg, "--dict", dict_path, "--analysis",
+                "psweep", "--variants", "mp,emp", "--p-grid", grid, "--out", out,
+            ]
+            assert main(argv) == EXIT_OK
+            tables.append(read_table(out)[2])
+        assert [r for r in tables[0] if r[1] == "0.0700"] == tables[1]
+
     @pytest.mark.parametrize("analysis", ANALYSES)
     def test_every_analysis_applies_variants_and_iters(
         self, tmp_path, synth_cfg, dict_path, monkeypatch, analysis
@@ -749,6 +779,11 @@ class TestExitCodes:
             ),
             (
                 ["eval", "--synth", "{synth}", "--dict", "{dict}",
+                 "--analysis", "psweep", "--p-grid", "0.01:1/0:0.05"],
+                "grid must be start:step:stop, got '0.01:1/0:0.05'",
+            ),
+            (
+                ["eval", "--synth", "{synth}", "--dict", "{dict}",
                  "--analysis", "entropy", "--variants", "emp,bogus"],
                 "variant must be one of",
             ),
@@ -780,9 +815,9 @@ class TestExitCodes:
             (["profile", "--windows", "0"], "--windows must list lengths >= 1"),
         ],
         ids=[
-            "sample-rate-0", "repeats-0", "p-grid-step-0", "unknown-variant",
-            "bad-ratio", "quota-below-1", "quota-below-1-mp", "encode-iters",
-            "eval-iters", "windows-empty", "windows-negative",
+            "sample-rate-0", "repeats-0", "p-grid-step-0", "p-grid-ratio",
+            "unknown-variant", "bad-ratio", "quota-below-1", "quota-below-1-mp",
+            "encode-iters", "eval-iters", "windows-empty", "windows-negative",
             "windows-0",
         ],
     )
@@ -942,7 +977,11 @@ class TestExitCodes:
         assert code == EXIT_DATA
 
     @pytest.mark.parametrize(
-        "line", ["#p=nan", "#p=7", "#variant=zzz", "#sample_rate=-3", "0 600 0.5"]
+        "line",
+        [
+            "#p=nan", "#p=7", "#variant=zzz", "#sample_rate=-3", "0 600 0.5",
+            "#window_len=100000000000000",
+        ],
     )
     def test_invalid_code_is_data_exit(self, tmp_path, dict_path, line):
         bad = tmp_path / "bad.code"
@@ -981,6 +1020,65 @@ class TestExitCodes:
             ]
         )
         assert code == EXIT_NUMERIC
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["learn", "--synth", "{synth}", "--atoms", "3", "--blocks", "1",
+             "--block-len", "1000", "--trace", "{synth}", "--out", "{tmp}/d.json"],
+            ["encode", "--synth", "{synth}", "--dict", "{dict}", "--residual", "{dict}",
+             "--out", "{tmp}/y.code"],
+            ["reconstruct", "--dict", "{dict}", "--code", "{code}", "--out", "{code}"],
+            ["eval", "--synth", "{synth}", "--dict", "{dict}", "--analysis", "entropy",
+             "--out", "{synth}"],
+            ["profile", "--dict", "{dict}", "--windows", "256", "--repeats", "1",
+             "--out", "{dict}"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_output_naming_an_input_rejected(
+        self, tmp_path, synth_cfg, dict_path, capsys, argv
+    ):
+        """No output, and no run config, replaces an input's bytes."""
+        code_path = str(tmp_path / "sig.code")
+        argv_enc = ["encode", "--synth", synth_cfg, "--dict", dict_path]
+        assert main(argv_enc + ["--out", code_path]) == EXIT_OK
+        before = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
+        fill = {
+            "{synth}": synth_cfg, "{dict}": dict_path, "{code}": code_path,
+            "{tmp}": str(tmp_path),
+        }
+        for key, value in fill.items():
+            argv = [a.replace(key, value) for a in argv]
+        assert main(argv) == EXIT_USAGE
+        assert "would overwrite the input" in capsys.readouterr().err
+        after = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
+        assert after == before
+
+    def test_output_under_a_file_is_data_exit_before_any_pursuit(
+        self, tmp_path, synth_cfg, dict_path, monkeypatch, capsys
+    ):
+        def no_match(*args):
+            raise AssertionError("a pursuit ran")
+
+        monkeypatch.setattr(empursuit.cli, "match", no_match)
+        out = os.path.join(synth_cfg, "x.code")
+        argv = ["encode", "--synth", synth_cfg, "--dict", dict_path, "--out", out]
+        assert main(argv) == EXIT_DATA
+        assert "no directory to write" in capsys.readouterr().err
+
+    def test_failed_write_is_data_exit(
+        self, tmp_path, synth_cfg, dict_path, monkeypatch, capsys
+    ):
+        def disk_full(*args, **kwargs):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(empursuit.cli, "save_code", disk_full)
+        out = str(tmp_path / "x.code")
+        argv = ["encode", "--synth", synth_cfg, "--dict", dict_path, "--out", out]
+        assert main(argv) == EXIT_DATA
+        assert "No space left on device" in capsys.readouterr().err
+        assert not os.path.exists(out + ".run.json")
 
     def test_unknown_command_is_usage_exit(self, capsys):
         assert main(["frobnicate"]) == EXIT_USAGE

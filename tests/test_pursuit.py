@@ -30,6 +30,7 @@ from empursuit.pursuit import (
     solve_neighborhood,
     update_residual,
 )
+from empursuit.signal_io import MAX_WAV_SAMPLES
 from reference_pursuit import naive_match
 
 
@@ -1177,6 +1178,17 @@ class TestCodeSerialization:
         )
         with pytest.raises(DataFormatError, match="window_len"):
             load_code(path)
+
+    def test_window_len_beyond_any_wav_rejected(self, tmp_path):
+        """A window no WAV can hold is a data error at load, not an allocation."""
+        path = tmp_path / "w.code"
+        header = "#format=empursuit-code\n#format_version=1\n#window_len="
+        path.write_text(f"{header}{MAX_WAV_SAMPLES}\n")
+        assert load_code(path).window_len == MAX_WAV_SAMPLES
+        for window_len in (MAX_WAV_SAMPLES + 1, 100000000000000):
+            path.write_text(f"{header}{window_len}\n")
+            with pytest.raises(DataFormatError, match="window_len"):
+                load_code(path)
 
     def test_non_finite_residual_rejected(self, tmp_path):
         cpath = tmp_path / "x.code"
