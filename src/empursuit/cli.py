@@ -3,8 +3,8 @@
 Every successful run writes a fully resolved config JSON next to its
 primary output (`<out>.run.json`) so results can be traced back to exact
 parameters; a rejected run writes none.
-Exit codes: 0 success, 2 usage/parameter error, 3 data error, 4 numerical
-degeneracy.
+Exit codes: 0 success, 2 usage/parameter error, 3 data error (including
+data too large for memory), 4 numerical degeneracy.
 """
 
 from __future__ import annotations
@@ -22,9 +22,7 @@ import scipy
 from . import __version__
 from .dictionary import dict_digest, load_dict, save_dict
 from .errors import DataFormatError, DegenerateSignalError, ZeroAtomError
-from .learner import (
-    MIN_ATOM_LEN_CAP, LearnConfig, checkpoint_path, dlearn, write_trace,
-)
+from .learner import MIN_ATOM_LEN_CAP, LearnConfig, dlearn, write_trace
 from .metrics import (
     HISTOGRAM_BIN_COUNTS,
     clamp_db,
@@ -181,8 +179,6 @@ def _cpu_model() -> str:
 
 
 def cmd_learn(args) -> int:
-    if args.checkpoint_dir is not None and args.checkpoint_every == 0:
-        raise ValueError("--checkpoint-dir needs --checkpoint-every > 0")
     sig = _load_input(args)
     cfg = LearnConfig(
         m=args.atoms,
@@ -193,17 +189,10 @@ def cmd_learn(args) -> int:
         seed=args.seed,
         block_len=args.block_len,
         max_atom_len=args.max_atom_len,
-        checkpoint_every=args.checkpoint_every,
     )
     trace_path = args.trace or args.out + ".trace.csv"
-    every = args.checkpoint_every
-    if every > 0 and args.checkpoint_dir is None:
-        args.checkpoint_dir = os.path.dirname(args.out) or "."
-    blocks = range(every, args.blocks + 1, every) if every else ()
-    _check_outputs(
-        args, trace_path, *(checkpoint_path(args.checkpoint_dir, b) for b in blocks)
-    )
-    dictionary, trace = dlearn(sig, cfg, checkpoint_dir=args.checkpoint_dir)
+    _check_outputs(args, trace_path)
+    dictionary, trace = dlearn(sig, cfg)
     save_dict(dictionary, args.out)
     write_trace(
         trace,
@@ -354,7 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_learn.add_argument("--eta", type=float, default=learn.eta)
     p_learn.add_argument("--variant", choices=VARIANTS, default=learn.variant)
     p_learn.add_argument(
-        "--blocks", type=int, default=learn.n_blocks, help="default %(default)s"
+        "--blocks", type=int, default=learn.n_blocks,
+        help="default %(default)s; a run's first k blocks are the run with --blocks k",
     )
     p_learn.add_argument("--seed", type=int, default=learn.seed)
     p_learn.add_argument(
@@ -362,13 +352,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_learn.add_argument(
         "--max-atom-len", type=int,
-        help=f"at least {MIN_ATOM_LEN_CAP}, default max(block-len // 4, "
-        f"{MIN_ATOM_LEN_CAP}); extnorm never trims, so without a cap an atom's "
-        "tails can grow with every block",
-    )
-    p_learn.add_argument("--checkpoint-every", type=int, default=learn.checkpoint_every)
-    p_learn.add_argument(
-        "--checkpoint-dir", help="needs --checkpoint-every; default: --out's directory"
+        help=f"at least {MIN_ATOM_LEN_CAP}, at most block-len, default "
+        f"max(block-len // 4, {MIN_ATOM_LEN_CAP}); extnorm never trims, so without "
+        "a cap an atom's tails can grow with every block",
     )
     p_learn.add_argument("--trace")
     p_learn.add_argument("--out", required=True, help="dictionary file to write")
@@ -443,7 +429,7 @@ def main(argv=None) -> int:
     except (DegenerateSignalError, ZeroAtomError, np.linalg.LinAlgError) as exc:
         print(f"error: numerical degeneracy: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (DataFormatError, OSError) as exc:
+    except (DataFormatError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ValueError as exc:

@@ -18,13 +18,12 @@ adapt every atom every block.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dictionary import INIT_BODY_LEN, TAIL_LEN, Atom, Dictionary, _random_atom
-from .dictionary import extnorm, randdict, save_dict
+from .dictionary import extnorm, randdict
 from .errors import ZeroAtomError
 from .metrics import clamp_db, write_table
 from .pursuit import PursuitConfig, SparseCode, match
@@ -36,7 +35,6 @@ __all__ = [
     "atom_gradient",
     "apply_update",
     "dlearn",
-    "checkpoint_path",
     "write_trace",
 ]
 
@@ -56,7 +54,6 @@ class LearnConfig:
     seed: int = 0  # seeds the initial dictionary and the block positions
     block_len: int | None = None  # default: min(len(signal), 16384) at run time
     max_atom_len: int | None = None  # default: max(block_len // 4, 70) at run time
-    checkpoint_every: int = 0
 
     def __post_init__(self) -> None:
         if self.m < 1:
@@ -73,8 +70,6 @@ class LearnConfig:
                 f"max_atom_len must be >= {MIN_ATOM_LEN_CAP}, the initial atom "
                 f"length, got {self.max_atom_len}"
             )
-        if self.checkpoint_every < 0:
-            raise ValueError("checkpoint_every must be >= 0")
 
     def pursuit(self) -> PursuitConfig:
         return PursuitConfig(variant=self.variant, p=self.p)
@@ -162,30 +157,24 @@ def apply_update(
     )
 
 
-def dlearn(
-    signal: Signal,
-    cfg: LearnConfig,
-    checkpoint_dir: str | None = None,
-) -> tuple[Dictionary, list[BlockRecord]]:
+def dlearn(signal: Signal, cfg: LearnConfig) -> tuple[Dictionary, list[BlockRecord]]:
     """Alternate pursuit and atom updates over training blocks of the signal.
 
     Runs cfg.n_blocks blocks, block k drawn by next_block with (cfg.seed,
-    k), so the result is a pure function of the signal and cfg. Raises
+    k), so the result is a pure function of the signal and cfg, and the
+    first k blocks of a run are the run with n_blocks = k. Raises
     ValueError before the first block if the block is longer than the
-    signal or if checkpoint_every is set without a checkpoint_dir, and
-    FileNotFoundError if that is no directory. With zero blocks the random
-    initial dictionary is returned. Returns the dictionary and one record
-    per block.
+    signal or shorter than the atom length cap. With zero blocks the
+    random initial dictionary is returned. Returns the dictionary and one
+    record per block.
     """
-    if cfg.checkpoint_every > 0 and checkpoint_dir is None:
-        raise ValueError("checkpoint_every > 0 needs a checkpoint_dir")
-    if cfg.checkpoint_every > 0 and not os.path.isdir(checkpoint_dir):
-        raise FileNotFoundError(f"no checkpoint directory {checkpoint_dir!r}")
     # Block and cap are validated positive, so `or` only replaces None.
     block_len = cfg.block_len or min(len(signal), 16384)
     if block_len > len(signal):
         raise ValueError(f"block_len {block_len} exceeds signal length {len(signal)}")
     max_atom_len = cfg.max_atom_len or max(block_len // 4, MIN_ATOM_LEN_CAP)
+    if max_atom_len > block_len:  # an atom could outgrow the block
+        raise ValueError(f"max_atom_len {max_atom_len} exceeds block_len {block_len}")
     sr = signal.sample_rate
     dictionary = randdict(cfg.m, seed=cfg.seed, sample_rate_hint=sr)
     trace: list[BlockRecord] = []
@@ -218,14 +207,7 @@ def dlearn(
                 atom_lengths=[len(a.waveform) for a in dictionary.atoms],
             )
         )
-        if cfg.checkpoint_every > 0 and (step + 1) % cfg.checkpoint_every == 0:
-            save_dict(dictionary, checkpoint_path(checkpoint_dir, step + 1))
     return dictionary, trace
-
-
-def checkpoint_path(directory: str, block: int) -> str:
-    """File dlearn saves the dictionary to after its first `block` blocks."""
-    return os.path.join(directory, f"dict_block{block:06d}.json")
 
 
 def write_trace(trace: list[BlockRecord], path, header: dict) -> None:

@@ -128,10 +128,12 @@ def denoise_sweep(
     noisy signal, and measure the SNR of its approximation (the noisy
     signal less the code's residual) against the CLEAN signal.
     """
+    if not all(0 <= r < math.inf for r in ratios):  # NaN fails too
+        raise ValueError(f"noise ratios must be finite and >= 0, got {ratios}")
+    if noise_seed < 0:
+        raise ValueError(f"noise_seed must be >= 0, got {noise_seed}")
     rows: list[tuple[float, float]] = []
     for k, ratio in enumerate(ratios):
-        if ratio < 0:
-            raise ValueError("noise ratios must be >= 0")
         noisy = add_noise(clean, ratio, seed=(noise_seed, k))
         code = match(dictionary, noisy, cfg)
         approx = noisy.samples - code.residual
@@ -146,10 +148,12 @@ def p_sweep(
     cfg: PursuitConfig,
 ) -> list[tuple[float, float]]:
     """Reconstruction SNR of the signal encoded with cfg at each p in p_values."""
+    # Every p is checked, by building its config, before the first pursuit.
+    cfgs = [dataclasses.replace(cfg, p=float(p)) for p in p_values]
     rows: list[tuple[float, float]] = []
-    for p in p_values:
-        code = match(dictionary, x, dataclasses.replace(cfg, p=float(p)))
-        rows.append((float(p), snr_db(x.samples, x.samples - code.residual)))
+    for c in cfgs:
+        code = match(dictionary, x, c)
+        rows.append((c.p, snr_db(x.samples, x.samples - code.residual)))
     return rows
 
 

@@ -135,36 +135,15 @@ class TestLearnCommand:
         assert run_cfg["argv_command"] == "learn"
         assert run_cfg["atoms"] == 3
         assert run_cfg["p"] == 0.05  # default resolved and recorded
-        assert run_cfg["checkpoint_dir"] is None  # no checkpoints, no directory
-
-    @pytest.mark.parametrize("out_dir", ["run", ""], ids=["out-dir", "no-dir-part"])
-    def test_checkpoints_default_to_the_directory_of_out(
-        self, tmp_path, synth_cfg, monkeypatch, out_dir
-    ):
-        """Not the working directory: checkpoints land next to the dictionary."""
-        (tmp_path / "cwd" / "run").mkdir(parents=True)
-        monkeypatch.chdir(tmp_path / "cwd")
-        out = os.path.join(out_dir, "d.json")
-        flags = [
-            "learn", "--synth", synth_cfg, "--atoms", "3", "--blocks", "2",
-            "--block-len", "1000", "--checkpoint-every", "1", "--out", out,
-        ]
-        assert main(flags) == EXIT_OK
-        ckpts = ["dict_block000001.json", "dict_block000002.json"]
-        assert all(os.path.isfile(os.path.join(out_dir, f)) for f in ckpts)
-        if out_dir:
-            assert not any(os.path.exists(f) for f in ckpts)
-        run_cfg = json.loads(Path(out + ".run.json").read_text())
-        assert run_cfg["checkpoint_dir"] == (out_dir or ".")
+        assert "checkpoint_every" not in run_cfg and "checkpoint_dir" not in run_cfg
 
     @pytest.mark.parametrize(
         "flags",
         [
             ["--out", "{missing}/d.json"],
             ["--trace", "{missing}/t.csv", "--out", "{tmp}/d.json"],
-            ["--checkpoint-dir", "{missing}", "--out", "{tmp}/d.json"],
         ],
-        ids=["out", "trace", "checkpoint-dir"],
+        ids=["out", "trace"],
     )
     def test_missing_output_directory_rejected_before_the_first_block(
         self, tmp_path, synth_cfg, monkeypatch, capsys, flags
@@ -178,23 +157,10 @@ class TestLearnCommand:
             flags = [f.replace(key, value) for f in flags]
         argv = [
             "learn", "--synth", synth_cfg, "--atoms", "3", "--blocks", "2",
-            "--block-len", "1000", "--checkpoint-every", "1",
+            "--block-len", "1000",
         ]
         assert main(argv + flags) == EXIT_DATA
         assert "directory" in capsys.readouterr().err
-        assert sorted(os.listdir(tmp_path)) == ["synth.json"]
-
-    def test_checkpoint_dir_without_checkpoint_every_rejected(
-        self, tmp_path, synth_cfg, capsys
-    ):
-        """A checkpoint directory that no checkpoint would use is an error."""
-        out = str(tmp_path / "d.json")
-        argv = [
-            "learn", "--synth", synth_cfg, "--atoms", "3", "--blocks", "1",
-            "--block-len", "1000", "--checkpoint-dir", str(tmp_path), "--out", out,
-        ]
-        assert main(argv) == EXIT_USAGE
-        assert "--checkpoint-dir needs --checkpoint-every" in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == ["synth.json"]
 
     @pytest.mark.parametrize(
@@ -219,58 +185,13 @@ class TestLearnCommand:
         assert "are one file" in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == ["sub", "synth.json"]
 
-    @pytest.mark.parametrize(
-        "flags",
-        [
-            ["--trace", "dict_block000001.json", "--out", "d.json"],
-            ["--out", "dict_block000002.json"],
-            ["--checkpoint-dir", "ck", "--trace", "./ck/dict_block000002.json",
-             "--out", "d.json"],
-        ],
-        ids=["trace", "out", "checkpoint-dir"],
-    )
-    def test_output_named_as_a_checkpoint_rejected_before_the_first_block(
-        self, tmp_path, synth_cfg, monkeypatch, capsys, flags
-    ):
-        """A checkpoint would overwrite the output, or the output the checkpoint."""
-        def no_block(*args):
-            raise AssertionError("a block was drawn")
-
-        monkeypatch.setattr(learner, "next_block", no_block)
-        (tmp_path / "ck").mkdir()
-        monkeypatch.chdir(tmp_path)
-        argv = [
-            "learn", "--synth", synth_cfg, "--atoms", "3", "--blocks", "2",
-            "--block-len", "1000", "--checkpoint-every", "1",
-        ]
-        assert main(argv + flags) == EXIT_USAGE
-        assert "are one file" in capsys.readouterr().err
-        assert sorted(os.listdir(tmp_path)) == ["ck", "synth.json"]
-        assert os.listdir(tmp_path / "ck") == []
-
-    def test_checkpoint_names_off_the_schedule_are_free(self, tmp_path, synth_cfg):
-        """Only the blocks a run checkpoints after name files it writes."""
-        argv = [
-            "learn", "--synth", synth_cfg, "--atoms", "3", "--blocks", "3",
-            "--block-len", "1000", "--checkpoint-every", "2",
-            "--trace", str(tmp_path / "dict_block000001.json"),
-            "--out", str(tmp_path / "dict_block000004.json"),
-        ]
-        assert main(argv) == EXIT_OK
-        assert load_dict(tmp_path / "dict_block000002.json")
-        assert read_table(tmp_path / "dict_block000001.json")[1][0] == "block"
-
     def test_defaults_come_from_the_configs(self):
         parser = build_parser()
         learn = parser.parse_args(["learn", "--synth", "s.json", "--out", "d.json"])
         cfg = LearnConfig()
         assert (
             learn.atoms, learn.p, learn.eta, learn.variant, learn.blocks, learn.seed,
-            learn.checkpoint_every,
-        ) == (
-            cfg.m, cfg.p, cfg.eta, cfg.variant, cfg.n_blocks, cfg.seed,
-            cfg.checkpoint_every,
-        )
+        ) == (cfg.m, cfg.p, cfg.eta, cfg.variant, cfg.n_blocks, cfg.seed)
         pursuit = PursuitConfig()
         encode = parser.parse_args(
             ["encode", "--synth", "s.json", "--dict", "d.json", "--out", "x.code"]
@@ -460,6 +381,29 @@ class TestEvalCommand:
         assert main(argv) == EXIT_USAGE
         assert calls == []
         assert not os.path.exists(out)
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--analysis", "denoise", "--ratios", "0.1,0.2,-0.3"], "noise ratios"),
+            (["--analysis", "psweep", "--p-grid", "0.25:0.25:1.0"], "p must be in"),
+            (["--analysis", "denoise", "--ratios", "0,0.1", "--noise-seed", "-1"],
+             "noise_seed must be >= 0, got -1"),
+        ],
+        ids=["negative-ratio", "p-grid-reaches-1", "negative-noise-seed"],
+    )
+    def test_bad_sweep_setting_rejected_before_any_pursuit(
+        self, tmp_path, synth_cfg, dict_path, monkeypatch, capsys, flags, message
+    ):
+        def no_match(*args):
+            raise AssertionError("a pursuit ran")
+
+        monkeypatch.setattr(empursuit.metrics, "match", no_match)
+        out = str(tmp_path / "sweep.csv")
+        argv = ["eval", "--synth", synth_cfg, "--dict", dict_path, "--out", out]
+        assert main(argv + flags) == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not os.path.exists(out) and not os.path.exists(out + ".run.json")
 
     def test_entropy_table_hits_quota_parity_and_log2_m(
         self, tmp_path, synth_cfg, dict_path
@@ -719,8 +663,12 @@ class TestExitCodes:
                 "max_atom_len must be >= 70, the initial atom length, got -5",
             ),
             (["--block-len", "0"], "block_len must be positive, got 0"),
+            (
+                ["--block-len", "1000", "--max-atom-len", "1010"],
+                "max_atom_len 1010 exceeds block_len 1000",
+            ),
         ],
-        ids=["max-atom-len", "block-len"],
+        ids=["max-atom-len", "block-len", "max-atom-len-above-block-len"],
     )
     def test_bad_learn_length_is_usage_exit(
         self, tmp_path, synth_cfg, capsys, flags, message
@@ -813,12 +761,20 @@ class TestExitCodes:
             (["profile", "--windows", ","], "--windows must list lengths >= 1"),
             (["profile", "--windows", "-5"], "--windows must list lengths >= 1"),
             (["profile", "--windows", "0"], "--windows must list lengths >= 1"),
+            (
+                ["learn", "--synth", "{synth}", "--checkpoint-every", "1"],
+                "unrecognized arguments: --checkpoint-every 1",
+            ),
+            (
+                ["learn", "--synth", "{synth}", "--checkpoint-dir", "d"],
+                "unrecognized arguments: --checkpoint-dir d",
+            ),
         ],
         ids=[
             "sample-rate-0", "repeats-0", "p-grid-step-0", "p-grid-ratio",
             "unknown-variant", "bad-ratio", "quota-below-1", "quota-below-1-mp",
             "encode-iters", "eval-iters", "windows-empty", "windows-negative",
-            "windows-0",
+            "windows-0", "learn-checkpoint-every", "learn-checkpoint-dir",
         ],
     )
     def test_rejected_run_writes_no_output_or_run_config(
@@ -1079,6 +1035,24 @@ class TestExitCodes:
         assert main(argv) == EXIT_DATA
         assert "No space left on device" in capsys.readouterr().err
         assert not os.path.exists(out + ".run.json")
+
+    def test_out_of_memory_is_data_exit(
+        self, tmp_path, synth_cfg, dict_path, monkeypatch, capsys
+    ):
+        """A code whose window is too long to allocate is a data error."""
+        code_path = str(tmp_path / "sig.code")
+        argv = ["encode", "--synth", synth_cfg, "--dict", dict_path, "--out", code_path]
+        assert main(argv) == EXIT_OK
+
+        def no_memory(*args):
+            raise MemoryError("Unable to allocate 8.20 GiB")
+
+        monkeypatch.setattr(empursuit.cli, "reconstruct", no_memory)
+        out = str(tmp_path / "x.wav")
+        argv = ["reconstruct", "--dict", dict_path, "--code", code_path, "--out", out]
+        assert main(argv) == EXIT_DATA
+        assert capsys.readouterr().err == "error: Unable to allocate 8.20 GiB\n"
+        assert not os.path.exists(out) and not os.path.exists(out + ".run.json")
 
     def test_unknown_command_is_usage_exit(self, capsys):
         assert main(["frobnicate"]) == EXIT_USAGE

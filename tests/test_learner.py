@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -63,7 +65,6 @@ class TestLearnConfig:
             {"variant": "ksvd"},
             {"n_blocks": -1},
             {"block_len": -1},
-            {"checkpoint_every": -1},
             {"max_atom_len": 0},
             {"max_atom_len": -5},
             {"block_len": 0},
@@ -394,17 +395,20 @@ class TestDlearn:
         for atom in d.atoms:
             assert len(atom.waveform) <= 800 // 4
 
-    def test_checkpoints_written_and_loadable(self, tmp_path):
+    @pytest.mark.parametrize("variant", ["mp", "omp", "emp", "eomp"])
+    def test_first_blocks_of_a_run_are_the_shorter_run(self, variant):
+        """A run's first k records are the run with n_blocks = k."""
         src = training_source(6)
         cfg = LearnConfig(
-            m=2, p=0.04, eta=1e-4, variant="emp", n_blocks=4, seed=6,
-            block_len=1500, checkpoint_every=2,
+            m=3, p=0.04, eta=1e-2, variant=variant, n_blocks=6, seed=6, block_len=1500,
         )
-        d, _ = dlearn(src, cfg, checkpoint_dir=str(tmp_path))
-        files = sorted(p.name for p in tmp_path.iterdir())
-        assert files == ["dict_block000002.json", "dict_block000004.json"]
-        last = load_dict(tmp_path / "dict_block000004.json")
-        assert last == d
+        _, long = dlearn(src, cfg)
+        _, short = dlearn(src, dataclasses.replace(cfg, n_blocks=3))
+        assert len(short) == 3
+        for a, b in zip(short, long):
+            assert (a.snr_db, a.residual_var) == (b.snr_db, b.residual_var)
+            assert np.array_equal(a.event_counts, b.event_counts)
+            assert a.atom_lengths == b.atom_lengths
 
     def test_float_sample_rate_gives_a_loadable_dictionary(self, tmp_path):
         src = training_source(6)
@@ -413,29 +417,20 @@ class TestDlearn:
         save_dict(d, tmp_path / "d.json")
         assert load_dict(tmp_path / "d.json").sample_rate_hint == 8000
 
-    def test_checkpoints_without_a_directory_rejected_before_the_first_block(
-        self, monkeypatch
+    @pytest.mark.parametrize(
+        "block_len, max_atom_len", [(1500, 1510), (60, None)], ids=["cap", "default-cap"]
+    )
+    def test_cap_above_the_block_rejected_before_the_first_block(
+        self, monkeypatch, block_len, max_atom_len
     ):
-        cfg = LearnConfig(m=2, p=0.04, n_blocks=4, block_len=1500, checkpoint_every=2)
-
+        """An atom allowed to outgrow the block would stop the run part way."""
         def no_block(*args):
             raise AssertionError("a block was drawn")
 
         monkeypatch.setattr(learner, "next_block", no_block)
-        with pytest.raises(ValueError, match="checkpoint_dir"):
+        cfg = LearnConfig(m=2, n_blocks=4, block_len=block_len, max_atom_len=max_atom_len)
+        with pytest.raises(ValueError, match=f"exceeds block_len {block_len}"):
             dlearn(training_source(9), cfg)
-
-    def test_missing_checkpoint_directory_rejected_before_the_first_block(
-        self, tmp_path, monkeypatch
-    ):
-        cfg = LearnConfig(m=2, p=0.04, n_blocks=4, block_len=1500, checkpoint_every=2)
-
-        def no_block(*args):
-            raise AssertionError("a block was drawn")
-
-        monkeypatch.setattr(learner, "next_block", no_block)
-        with pytest.raises(FileNotFoundError, match="no checkpoint directory"):
-            dlearn(training_source(9), cfg, checkpoint_dir=str(tmp_path / "missing"))
 
     def test_block_len_must_fit(self):
         sig = Signal(np.zeros(50), 8000)
