@@ -13,7 +13,8 @@ from one gather of every event's residual segment, after which each atom's
 scaled segments are summed in event order. Atoms with no events in a block
 are left untouched, which is why non-equiprobable pursuits can leave part
 of the dictionary at its random initialization while the equiprobable ones
-adapt every atom every block.
+adapt every atom every block. Each block's trace row records its SNR as
+snr_db(block, block - residual), and nan for a silent block.
 """
 
 from __future__ import annotations
@@ -24,10 +25,10 @@ import numpy as np
 
 from .dictionary import INIT_BODY_LEN, TAIL_LEN, Atom, Dictionary, _random_atom
 from .dictionary import extnorm, randdict
-from .errors import ZeroAtomError
+from .errors import DegenerateSignalError, ZeroAtomError
 from .metrics import clamp_db, write_table
 from .pursuit import PursuitConfig, SparseCode, match
-from .signal_io import Signal, next_block
+from .signal_io import Signal, next_block, snr_db
 
 __all__ = [
     "LearnConfig",
@@ -81,7 +82,7 @@ class BlockRecord:
 
     block: int
     signal_seconds: float
-    snr_db: float
+    snr_db: float  # snr_db(block, block - residual); nan for a silent block
     residual_var: float
     event_counts: np.ndarray
     atom_lengths: list[int]
@@ -188,20 +189,16 @@ def dlearn(signal: Signal, cfg: LearnConfig) -> tuple[Dictionary, list[BlockReco
             dictionary, code, cfg.eta, max_atom_len=max_atom_len, rng=rerand_rng
         )
 
-        x2 = float(np.dot(block.samples, block.samples))
-        r2 = float(np.dot(code.residual, code.residual))
-        if x2 == 0.0:
+        try:
+            snr = snr_db(block.samples, block.samples - code.residual)
+        except DegenerateSignalError:  # a silent block
             snr = float("nan")
-        elif r2 == 0.0:
-            snr = np.inf
-        else:
-            snr = 10.0 * np.log10(x2 / r2)
         counts = np.bincount([ev.atom_index for ev in code.events], minlength=cfg.m)
         trace.append(
             BlockRecord(
                 block=step,
                 signal_seconds=(step + 1) * block_len / sr,
-                snr_db=float(snr),
+                snr_db=snr,
                 residual_var=float(np.var(code.residual)),
                 event_counts=counts,
                 atom_lengths=[len(a.waveform) for a in dictionary.atoms],

@@ -128,8 +128,8 @@ def denoise_sweep(
     noisy signal, and measure the SNR of its approximation (the noisy
     signal less the code's residual) against the CLEAN signal.
     """
-    if not all(0 <= r < math.inf for r in ratios):  # NaN fails too
-        raise ValueError(f"noise ratios must be finite and >= 0, got {ratios}")
+    if not ratios or not all(0 <= r < math.inf for r in ratios):  # NaN fails too
+        raise ValueError(f"need one or more finite noise ratios >= 0, got {ratios}")
     if noise_seed < 0:
         raise ValueError(f"noise_seed must be >= 0, got {noise_seed}")
     rows: list[tuple[float, float]] = []
@@ -148,6 +148,8 @@ def p_sweep(
     cfg: PursuitConfig,
 ) -> list[tuple[float, float]]:
     """Reconstruction SNR of the signal encoded with cfg at each p in p_values."""
+    if not p_values:
+        raise ValueError("p_values must list one or more p")
     # Every p is checked, by building its config, before the first pursuit.
     cfgs = [dataclasses.replace(cfg, p=float(p)) for p in p_values]
     rows: list[tuple[float, float]] = []

@@ -67,7 +67,7 @@ import scipy
 
 from .dictionary import Dictionary, _non_unit_atom, dict_digest
 from .errors import DataFormatError
-from .signal_io import MAX_WAV_SAMPLES, Signal
+from .signal_io import MAX_WAV_SAMPLES, Signal, synth_signal
 
 __all__ = [
     "VARIANTS",
@@ -695,8 +695,9 @@ def match(
 def reconstruct(code: SparseCode, dictionary: Dictionary) -> np.ndarray:
     """Sum of every event's scaled, shifted atom waveform.
 
-    A code that records the digest of the dictionary it was made with is
-    rejected when given a different dictionary.
+    The events are placed by synth_signal's rule. A code that records the
+    digest of the dictionary it was made with is rejected when given a
+    different dictionary.
     """
     if code.dict_digest is not None:
         digest = dict_digest(dictionary)
@@ -705,21 +706,8 @@ def reconstruct(code: SparseCode, dictionary: Dictionary) -> np.ndarray:
                 f"code was made with a different dictionary (code digest "
                 f"{code.dict_digest[:12]}, dictionary digest {digest[:12]})"
             )
-    waveforms = dictionary.waveforms
-    out = np.zeros(code.window_len)
-    for ev in code.events:
-        if not 0 <= ev.atom_index < len(waveforms):
-            raise ValueError(
-                f"event references atom {ev.atom_index} outside the dictionary"
-            )
-        w = waveforms[ev.atom_index]
-        if ev.offset < 0 or ev.offset + len(w) > code.window_len:
-            raise ValueError(
-                f"event at offset {ev.offset} does not fit the window; "
-                "code is stale for this dictionary"
-            )
-        out[ev.offset : ev.offset + len(w)] += ev.coefficient * w
-    return out
+    events = [(ev.atom_index, ev.offset, ev.coefficient) for ev in code.events]
+    return synth_signal(dictionary.waveforms, events, code.window_len).samples
 
 
 def save_code(code: SparseCode, path, residual_path=None) -> None:

@@ -198,8 +198,11 @@ def synth_signal(
 ) -> Signal:
     """Superpose scaled, shifted waveforms plus optional Gaussian noise.
 
-    Each placement is (atom index, offset, amplitude): the index must lie in
-    [0, len(waveforms)) and the atom's full support inside [0, length).
+    This is the package's one rule for placing events into samples. Each
+    placement is (atom index, offset, amplitude), and amp * waveform is
+    added at the offset, in list order. A placement on an atom outside
+    [0, len(waveforms)), or whose atom does not fit inside [0, length),
+    raises ValueError, as does a non-finite result.
     """
     if not noise_sigma >= 0:
         raise ValueError(f"noise_sigma must be >= 0, got {noise_sigma}")

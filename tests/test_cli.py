@@ -769,12 +769,18 @@ class TestExitCodes:
                 ["learn", "--synth", "{synth}", "--checkpoint-dir", "d"],
                 "unrecognized arguments: --checkpoint-dir d",
             ),
+            (
+                ["eval", "--synth", "{synth}", "--dict", "{dict}",
+                 "--analysis", "denoise", "--ratios", ","],
+                "need one or more finite noise ratios >= 0, got []",
+            ),
         ],
         ids=[
             "sample-rate-0", "repeats-0", "p-grid-step-0", "p-grid-ratio",
             "unknown-variant", "bad-ratio", "quota-below-1", "quota-below-1-mp",
             "encode-iters", "eval-iters", "windows-empty", "windows-negative",
             "windows-0", "learn-checkpoint-every", "learn-checkpoint-dir",
+            "ratios-empty",
         ],
     )
     def test_rejected_run_writes_no_output_or_run_config(
@@ -950,6 +956,26 @@ class TestExitCodes:
             ]
         )
         assert code == EXIT_DATA
+
+    @pytest.mark.parametrize(
+        "event, message",
+        [("0 40 0.5", "offset 40"), ("7 0 0.5", "atom 7")],
+        ids=["overruns-window", "atom-past-dictionary"],
+    )
+    def test_event_that_cannot_be_placed_is_usage_exit(
+        self, tmp_path, dict_path, capsys, event, message
+    ):
+        """A code without a digest is checked event by event against the dictionary."""
+        bad = tmp_path / "bad.code"
+        header = "#format=empursuit-code\n#format_version=1\n#window_len=100\n"
+        bad.write_text(f"{header}{event}\n")
+        wav_path = str(tmp_path / "x.wav")
+        argv = ["reconstruct", "--dict", dict_path, "--code", str(bad)]
+        assert main(argv + ["--out", wav_path]) == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and message in err[0]
+        assert not os.path.exists(wav_path)
+        assert not os.path.exists(wav_path + ".run.json")
 
     def test_non_unit_norm_dictionary_is_data_exit(self, tmp_path, synth_cfg):
         doc = {

@@ -437,6 +437,12 @@ class TestDlearn:
         with pytest.raises(ValueError, match="exceeds signal length"):
             dlearn(sig, LearnConfig(m=2, n_blocks=1, block_len=51))
 
+    def test_silent_blocks_record_nan_snr(self):
+        sig = Signal(np.zeros(2000), 8000)
+        _, trace = dlearn(sig, LearnConfig(m=2, n_blocks=3, block_len=1500))
+        assert len(trace) == 3
+        assert all(np.isnan(rec.snr_db) for rec in trace)
+
     def test_block_len_defaults_to_signal_length_up_to_16384(self):
         for length, expected in ((12000, 12000), (20000, 16384)):
             _, trace = dlearn(

@@ -312,6 +312,12 @@ class TestDenoiseSweep:
         with pytest.raises(ValueError):
             denoise_sweep(d, clean, [-0.1], PursuitConfig(variant="mp", p=0.05))
 
+    def test_empty_ratio_list_rejected_before_any_pursuit(self, planted, monkeypatch):
+        d, clean = planted
+        monkeypatch.setattr(metrics, "match", None)  # a pursuit would raise TypeError
+        with pytest.raises(ValueError, match="one or more"):
+            denoise_sweep(d, clean, [], PursuitConfig(variant="mp", p=0.05))
+
 
 class TestSnrFromResidual:
     """denoise_sweep and p_sweep take each SNR from the code's residual; it
@@ -359,6 +365,13 @@ class TestPSweep:
         rows = p_sweep(d, sig, [0.01, 0.05, 0.1], PursuitConfig(variant="emp"))
         assert [r[0] for r in rows] == [0.01, 0.05, 0.1]
         assert rows[-1][1] > rows[0][1]
+
+    def test_empty_p_list_rejected_before_any_pursuit(self, monkeypatch):
+        d = randdict(2, seed=0, sample_rate_hint=8000)
+        sig = Signal(np.random.default_rng(0).standard_normal(1000), 8000)
+        monkeypatch.setattr(metrics, "match", None)  # a pursuit would raise TypeError
+        with pytest.raises(ValueError, match="one or more"):
+            p_sweep(d, sig, [], PursuitConfig(variant="emp"))
 
 
 class TestProfileHelpers:

@@ -496,6 +496,13 @@ class TestReconstruction:
         with pytest.raises(ValueError):
             reconstruct(code, tiny_dict)
 
+    def test_non_finite_coefficient_rejected(self, tiny_dict):
+        code = SparseCode(
+            events=[SparseEvent(0, 0, np.nan)], residual=None, window_len=50
+        )
+        with pytest.raises(ValueError, match="non-finite"):
+            reconstruct(code, tiny_dict)
+
     def test_code_from_another_dictionary_rejected(self, noise_signal):
         cfg = PursuitConfig(variant="mp", p=0.1)
         code = match(randdict(4, seed=1), noise_signal, cfg)
