@@ -36,8 +36,16 @@ row-major order, so the search reads the winner off the top block's
 position. An atom that reaches its quota is deactivated in the table,
 which is the only place the quota is enforced: it leaves the index
 lazily, block by block, so select() searches the live atoms alone without
-a pass over the table. The winner's coefficient is recomputed from the
-residual, so it carries no round-off from the table.
+a pass over the table.
+
+A lone event's coefficient (every mp and emp step, and an omp/eomp step
+that overlaps no prior event) is its correlation recomputed from the
+residual, so it carries no round-off from the table. An omp/eomp
+neighbourhood of several events is solved from the table alone, the local
+Gram of LocOMP (Mailhe, Gribonval, Bimbot & Vandergheynst, ICASSP 2009):
+the Gram matrix is read from the cross-correlations the update uses and
+the right-hand side from the correlations themselves, so no shifted
+waveform is built, and those increments carry the table's round-off.
 
 The table update (daxpy) and the neighbourhood solve (dposv) call scipy's
 f2py modules scipy.linalg._fblas and scipy.linalg._flapack, the modules
@@ -157,8 +165,17 @@ class PursuitConfig:
         return self.variant in _EQUIPROBABLE
 
     def quota(self, window_len: int, m: int) -> int:
-        """Per-atom selection quota Q = floor(p * N / M)."""
-        return int(math.floor(self.p * window_len / m))
+        """Per-atom selection quota Q = floor(p * N / M), in exact integers.
+
+        p counts as the decimal it prints as, the one a user typed, as
+        --p-grid's values do: Q is 116 at p=0.29, N=1600, M=4, where the
+        binary product 0.29 * 1600 / 4 is 115.99999999999999.
+        """
+        mantissa, _, exponent = repr(float(self.p)).partition("e")
+        whole, _, fraction = mantissa.partition(".")
+        # p = digits / 10**places, with places > 0 since p < 1.
+        places = len(fraction) - int(exponent or 0)
+        return int(whole + fraction) * window_len // (m * 10**places)
 
 
 @dataclass
@@ -271,7 +288,8 @@ class CorrelationTable:
     -chi * X[start[a] + t - tau + Lmax-1], one contiguous daxpy per
     neighborhood event over the offsets the event can reach. X holds the
     atoms' cross-correlations at the Lmax - 1 + L_a lags atom a's steps
-    reach, atom after atom, and refresh() is its only reader. It costs
+    reach, atom after atom, read by refresh() and solve_neighborhood(),
+    whose Gram entries are the lags between overlapping events. It costs
     8 * M * sum_i(Lmax - 1 + L_i) bytes (6.8 MB for 32 atoms of 128 to
     512 samples, against 8.4 MB at every lag for every atom) and is built
     once per table, by rFFTs of the smallest 2^a 3^b 5^c length
@@ -293,7 +311,10 @@ class CorrelationTable:
     accepting it. So Bm[b] lies between the block's live-atom and all-atom
     maxima, and equals the former when its top entry is live: atoms only
     die, so a live top was the first live maximum when the block was last
-    evaluated, and still is. Dead atoms' columns are still updated.
+    evaluated, and still is. Dead atoms' columns must still be updated: an
+    omp/eomp neighbourhood can hold events of atoms already at quota, and
+    solve_neighborhood() reads their right-hand side from those columns.
+    That rules out any refresh that skips, masks or compacts dead columns.
 
     best() breaks ties by lowest offset, then lowest atom: T's row-major
     order, in which argmax takes the first maximum both over the blocks
@@ -327,6 +348,10 @@ class CorrelationTable:
         self._nfft = _fft_len(2 * self.lmax - 1)
         self._spectra: np.ndarray | None = np.fft.rfft(self.W, self._nfft)
         self.X, self._xstart = _cross_correlations(self._spectra, self.lengths)
+        # Per atom, for solve_neighborhood()'s gathers: its length, and the
+        # flat position in X of its zero-lag row.
+        self._atom_len = np.array(self.lengths, dtype=np.intp)
+        self._xzero = (np.array(self._xstart, dtype=np.intp) + self.lmax - 1) * m
         self._flat = self._padded.reshape(-1)  # T and its pad, for BLAS
         self._blocks = self._padded.reshape(nblocks, BLOCK * m)  # one row a block
         self._xflat = self.X.reshape(-1)
@@ -494,65 +519,55 @@ def select(table: CorrelationTable, floor: float = 0.0) -> tuple[int, int] | Non
 
 
 def neighborhood(
-    events: Sequence[SparseEvent],
-    starts: Sequence[tuple[int, int]],
-    new_event: SparseEvent,
-    atom_lengths: Sequence[int],
-) -> list[SparseEvent]:
-    """omp/eomp's events to re-solve jointly this iteration, new event last.
+    starts: Sequence[tuple[int, int, int]], offset: int, end: int, lmax: int
+) -> list[int]:
+    """omp/eomp's prior events to re-solve with a new event at [offset, end).
 
-    Every prior event whose sample support intersects the new event's
-    support, in selection order. starts is the index searched for them:
-    (offset, position in events) of every prior event, sorted.
+    Returns the positions, ascending (selection order), of every prior
+    event whose sample support intersects [offset, end). starts is the
+    index searched for them: (offset, position, end of support) of every
+    prior event, sorted; no atom is longer than lmax.
     """
-    off = new_event.offset
-    end = off + atom_lengths[new_event.atom_index]
-    j0 = bisect.bisect_left(starts, (off - max(atom_lengths) + 1, -1))
+    j0 = bisect.bisect_left(starts, (offset - lmax + 1, -1))
     j1 = bisect.bisect_left(starts, (end, -1))
-    idxs = sorted(
-        pos
-        for s, pos in starts[j0:j1]
-        if s + atom_lengths[events[pos].atom_index] > off
-    )
-    return [events[pos] for pos in idxs] + [new_event]
-
-
-def _psi_matrix(
-    psi: Sequence[SparseEvent], waveforms: Sequence[np.ndarray]
-) -> tuple[np.ndarray, int, int]:
-    """Stack the neighborhood's shifted waveforms over their union interval."""
-    u0 = min(ev.offset for ev in psi)
-    u1 = max(ev.offset + len(waveforms[ev.atom_index]) for ev in psi)
-    A = np.zeros((len(psi), u1 - u0))
-    for j, ev in enumerate(psi):
-        w = waveforms[ev.atom_index]
-        A[j, ev.offset - u0 : ev.offset - u0 + len(w)] = w
-    return A, u0, u1
+    return sorted(pos for _, pos, e in starts[j0:j1] if e > offset)
 
 
 def solve_neighborhood(
-    psi: Sequence[SparseEvent],
-    residual: np.ndarray,
-    waveforms: Sequence[np.ndarray],
+    offsets: np.ndarray, atoms: np.ndarray, table: CorrelationTable
 ) -> tuple[np.ndarray, bool]:
-    """Least-squares coefficient increments for the neighborhood columns.
+    """Least-squares coefficient increments for a neighbourhood's events.
 
-    Returns (chi, ridged). One LAPACK dposv call (Cholesky, lower triangle)
-    solves A A^T chi = A r over the neighborhood's shifted waveforms A. A
-    Gram matrix that is not positive definite (e.g. the same atom and
-    offset selected twice) is solved with a small ridge term instead, and
+    Event j places atom atoms[j] at offsets[j] (equal-length intp arrays).
+    Returns (chi, ridged). The solve reads only the table: the Gram entry
+    G[j, l] = <phi_j(. - tau_j), phi_l(. - tau_l)> is
+    X[start[a_l] + tau_j - tau_l + Lmax - 1, a_j], and is 0 where the two
+    supports do not overlap (every lag outside X's kept rows is such a
+    lag); the right-hand side b_j = T[tau_j, a_j] is the event's current
+    correlation with the residual, a dead atom's column included. One
+    LAPACK dposv call (Cholesky, lower triangle) solves G chi = b. A Gram
+    matrix that is not positive definite (e.g. the same atom and offset
+    selected twice) is solved with a small ridge term instead, and
     reported via the flag.
     """
-    if not psi:
+    if not len(offsets):
         raise ValueError("neighborhood is empty")
-    A, u0, u1 = _psi_matrix(psi, waveforms)
-    G = A @ A.T
-    b = A @ residual[u0:u1]
+    shifted = offsets * table._m
+    rows = shifted + atoms  # flat position of T[tau_j, a_j]
+    cols = table._xzero.take(atoms) - shifted
+    # rows[j] + cols[l] is X's flat position of G[j, l]. For a pair that
+    # does not overlap it can lie in another atom's rows or outside X, so
+    # it is clipped into X and its entry zeroed.
+    G = table._xflat.take(np.add.outer(rows, cols), mode="clip")
+    ends = offsets + table._atom_len.take(atoms)
+    before = offsets[:, None] < ends  # tau_j < tau_l + L_l
+    G *= before & before.T
+    b = table._flat.take(rows)
     _, chi, info = _lapack.dposv(G, b, lower=1)
     if info == 0:
         return chi, False
-    lam = RIDGE_RATIO * np.trace(G) / len(psi)
-    return np.linalg.solve(G + lam * np.eye(len(psi)), b), True
+    lam = RIDGE_RATIO * np.trace(G) / len(offsets)
+    return np.linalg.solve(G + lam * np.eye(len(offsets)), b), True
 
 
 def update_residual(
@@ -642,28 +657,39 @@ def match(
     floor = SELECTION_FLOOR_RATIO * norm0
     table = correlate_all(residual, waveforms)
     local = config.variant in _LOCAL_LSQ
-    starts: list[tuple[int, int]] = []  # neighborhood()'s index, kept by omp/eomp
+    # Kept by omp/eomp: the index neighborhood() searches, and every
+    # event's offset and atom by position, for solve_neighborhood().
+    starts: list[tuple[int, int, int]] = []
+    offsets = np.empty(m * q if local else 0, dtype=np.intp)
+    atoms = np.empty_like(offsets)
+    lmax = max(lengths)
+    prior: list[int] = []  # positions of the step's overlapping priors
 
     for k in range(m * q):
         picked = select(table, floor)
         if picked is None:
             break
         i, off = picked
-        # Recomputed from the residual so coefficients carry no table round-off.
-        c0 = float(np.dot(residual[off : off + lengths[i]], waveforms[i]))
         new_event = SparseEvent(i, off, 0.0)
-
         if local:
-            psi = neighborhood(events, starts, new_event, lengths)
-        else:
-            psi = [new_event]
-        if len(psi) == 1:
-            # Unit-norm atom: the increment is the correlation itself.
-            chi = [c0]
-        else:
-            chi, ridged = solve_neighborhood(psi, residual, waveforms)
+            end = off + lengths[i]
+            prior = neighborhood(starts, off, end, lmax)
+            bisect.insort(starts, (off, k, end))
+            offsets[k] = off
+            atoms[k] = i
+
+        if prior:
+            psi = [events[pos] for pos in prior] + [new_event]
+            prior.append(k)
+            at = np.array(prior, dtype=np.intp)
+            chi, ridged = solve_neighborhood(offsets.take(at), atoms.take(at), table)
             if ridged:
                 new_event.flagged = True
+        else:
+            psi = [new_event]
+            # Unit-norm atom: the increment is its correlation, recomputed
+            # from the residual so it carries no table round-off.
+            chi = [float(np.dot(residual[off : off + lengths[i]], waveforms[i]))]
         for ev, c in zip(psi, chi):
             ev.coefficient += float(c)
 
@@ -671,8 +697,6 @@ def match(
         if t1 > t0:
             table.refresh(t0, t1, psi, chi)
 
-        if local:
-            bisect.insort(starts, (off, k))
         events.append(new_event)
         if equiprobable:
             counts[i] += 1

@@ -12,6 +12,7 @@ engine under test, but every quantity is derived independently here.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -27,7 +28,8 @@ def naive_match(
     x = np.asarray(x, dtype=np.float64)
     n = len(x)
     m = len(waveforms)
-    q = math.floor(p * n / m)
+    # p as the decimal it prints as, in exact rational arithmetic.
+    q = math.floor(Fraction(repr(float(p))) * n / m)
     equi = variant in ("emp", "eomp")
     local = variant in ("omp", "eomp")
     budget = None if equi else m * q

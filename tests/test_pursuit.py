@@ -5,6 +5,7 @@ from __future__ import annotations
 import subprocess
 import sys
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -173,6 +174,31 @@ class TestPursuitConfig:
         assert PursuitConfig(p=0.05).quota(1000, 32) == 1
         assert PursuitConfig(p=0.1).quota(64, 4) == 1
 
+    @pytest.mark.parametrize(
+        "p, n, m, q",
+        [
+            (0.29, 1600, 4, 116),  # 0.29 * 1600 / 4 = 115.99999999999999 in binary
+            (0.29, 3200, 4, 232),
+            (0.57, 6400, 8, 456),
+            (0.7, 5760, 64, 63),
+            (0.94, 68800, 32, 2021),
+            (0.41, 19200, 64, 123),
+            (0.05, 4096, 32, 6),
+            (1e-05, 400_000, 4, 1),
+            (2.5e-07, 16_000_000, 1, 4),
+            (0.123456789, 10**9, 7, 17_636_684),
+        ],
+    )
+    def test_quota_is_exact_for_the_decimal_p_prints_as(self, p, n, m, q):
+        assert PursuitConfig(p=p).quota(n, m) == q
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        k=st.integers(1, 99), n=st.integers(1, 10**7), m=st.integers(1, 256)
+    )
+    def test_quota_at_hundredths_is_integer_floor(self, k, n, m):
+        assert PursuitConfig(p=k / 100).quota(n, m) == k * n // (100 * m)
+
     def test_equiprobable_flag(self):
         assert PursuitConfig(variant="emp").equiprobable
         assert PursuitConfig(variant="eomp").equiprobable
@@ -300,6 +326,45 @@ class TestReferenceEquivalence:
             got = [(ev.atom_index, ev.offset) for ev in code.events]
             want = [(ev["atom"], ev["offset"]) for ev in ref_events]
             assert got == want, f"seed={seed} variant={variant}"
+            np.testing.assert_allclose(
+                [ev.coefficient for ev in code.events],
+                [ev["coeff"] for ev in ref_events],
+                rtol=1e-9,
+                atol=1e-12,
+            )
+            np.testing.assert_allclose(
+                code.residual, ref_residual, rtol=1e-9, atol=1e-12
+            )
+
+    def test_eomp_neighborhoods_holding_dead_atoms_match_reference(self):
+        """eomp re-solves events of atoms already at quota: their right-hand
+        side comes from the dead atoms' columns of the table, which the
+        refresh must keep current."""
+        lengths = (24, 96, 40, 72)
+        for seed in range(2):
+            rng = np.random.default_rng((seed, 3027))
+            waveforms = [rng.standard_normal(L) for L in lengths]
+            waveforms = [w / np.linalg.norm(w) for w in waveforms]
+            x = planted_signal(rng, waveforms, 320, n_events=30)
+            x += 0.05 * rng.standard_normal(320)
+            q = PursuitConfig(p=0.1).quota(320, 4)
+            counts = [0] * 4
+            dead_in_solve = 0
+
+            def on_step(info):
+                nonlocal dead_in_solve
+                if len(info.neighborhood) > 1:
+                    prior = info.neighborhood[:-1]
+                    dead_in_solve += any(counts[ev.atom_index] >= q for ev in prior)
+                counts[info.atom_index] += 1
+
+            cfg = PursuitConfig(variant="eomp", p=0.1)
+            code = match(as_dictionary(waveforms), x, cfg, on_step=on_step)
+            ref_events, ref_residual = naive_match(waveforms, x, "eomp", 0.1)
+            assert dead_in_solve >= 1, f"seed={seed}"
+            got = [(ev.atom_index, ev.offset) for ev in code.events]
+            want = [(ev["atom"], ev["offset"]) for ev in ref_events]
+            assert got == want, f"seed={seed}"
             np.testing.assert_allclose(
                 [ev.coefficient for ev in code.events],
                 [ev["coeff"] for ev in ref_events],
@@ -535,27 +600,49 @@ class TestSelectionFloor:
         assert np.linalg.norm(code.residual) <= 1e-12
 
 
-def start_index(events: list[SparseEvent]) -> list[tuple[int, int]]:
-    """neighborhood()'s index as match() keeps it: sorted (offset, position)."""
-    return sorted((ev.offset, k) for k, ev in enumerate(events))
+def start_index(events: list[SparseEvent], lengths: list[int]) -> list[tuple[int, int, int]]:
+    """neighborhood()'s index as match() keeps it: sorted (offset, position, end)."""
+    return sorted(
+        (ev.offset, k, ev.offset + lengths[ev.atom_index]) for k, ev in enumerate(events)
+    )
+
+
+def solve(psi: list[SparseEvent], table: CorrelationTable) -> tuple[np.ndarray, bool]:
+    """solve_neighborhood() on psi's offsets and atoms, as match() gathers them."""
+    offsets = np.array([ev.offset for ev in psi], dtype=np.intp)
+    atoms = np.array([ev.atom_index for ev in psi], dtype=np.intp)
+    return solve_neighborhood(offsets, atoms, table)
+
+
+def lstsq_increments(
+    psi: list[SparseEvent], residual: np.ndarray, waveforms: list[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The neighbourhood's shifted waveforms' Gram matrix, and the least-squares
+    fit of the residual by them."""
+    u0 = min(ev.offset for ev in psi)
+    u1 = max(ev.offset + len(waveforms[ev.atom_index]) for ev in psi)
+    A = np.zeros((len(psi), u1 - u0))
+    for j, ev in enumerate(psi):
+        w = waveforms[ev.atom_index]
+        A[j, ev.offset - u0 : ev.offset - u0 + len(w)] = w
+    want, *_ = np.linalg.lstsq(A.T, residual[u0:u1], rcond=None)
+    return A @ A.T, want
 
 
 class TestNeighborhood:
     def test_local_variants_take_overlapping_priors(self):
+        """Positions come back in selection order, not in offset order."""
         lengths = [5, 5]
         prior = [
-            SparseEvent(0, 0, 1.0),  # support [0, 5) overlaps [4, 9)
+            SparseEvent(1, 6, 1.0),  # support [6, 11) overlaps [4, 9)
             SparseEvent(1, 9, 1.0),  # support [9, 14) touches but no overlap
-            SparseEvent(1, 6, 1.0),  # support [6, 11) overlaps
+            SparseEvent(0, 0, 1.0),  # support [0, 5) overlaps
         ]
-        new = SparseEvent(0, 4, 0.0)
-        psi = neighborhood(prior, start_index(prior), new, lengths)
-        assert psi == [prior[0], prior[2], new]
+        assert neighborhood(start_index(prior, lengths), 4, 9, 5) == [0, 2]
 
     def test_adjacent_supports_do_not_overlap(self):
         prior = [SparseEvent(0, 0, 1.0)]
-        new = SparseEvent(0, 5, 0.0)
-        assert neighborhood(prior, start_index(prior), new, [5]) == [new]
+        assert neighborhood(start_index(prior, [5]), 5, 10, 5) == []
 
 
 class TestSolveNeighborhood:
@@ -564,15 +651,62 @@ class TestSolveNeighborhood:
         waveforms = unit_waveforms(rng, 3, max_len=6)
         residual = rng.standard_normal(40)
         psi = [SparseEvent(0, 2, 0.0), SparseEvent(1, 4, 0.0), SparseEvent(2, 6, 0.0)]
-        chi, ridged = solve_neighborhood(psi, residual, waveforms)
+        chi, ridged = solve(psi, correlate_all(residual, waveforms))
         assert not ridged
-        u0 = min(ev.offset for ev in psi)
-        u1 = max(ev.offset + len(waveforms[ev.atom_index]) for ev in psi)
-        A = np.zeros((3, u1 - u0))
-        for j, ev in enumerate(psi):
-            w = waveforms[ev.atom_index]
-            A[j, ev.offset - u0 : ev.offset - u0 + len(w)] = w
-        want, *_ = np.linalg.lstsq(A.T, residual[u0:u1], rcond=None)
+        _, want = lstsq_increments(psi, residual, waveforms)
+        np.testing.assert_allclose(chi, want, rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "lengths, n", [((9, 40, 23, 40), 200), ((30, 260, 130, 260), 700)],
+        ids=["matmul-build", "overlap-save-build"],
+    )
+    def test_matches_lstsq_with_mixed_lengths(self, lengths, n):
+        """Every atom, the longest twice, at offsets on both sides of each
+        other, on both table builds: lags of either sign, within reach."""
+        rng = np.random.default_rng((3025, n))
+        waveforms = [rng.standard_normal(L) for L in lengths]
+        waveforms = [w / np.linalg.norm(w) for w in waveforms]
+        residual = rng.standard_normal(n)
+        table = correlate_all(residual, waveforms)
+        assert (table._spectra is not None) == (max(lengths) >= pursuit._OVERLAP_SAVE_LMAX)
+        mid = n // 3
+        psi = [
+            SparseEvent(1, mid, 0.0),
+            SparseEvent(0, mid + lengths[1] - 2, 0.0),
+            SparseEvent(2, mid - lengths[2] + 1, 0.0),
+            SparseEvent(3, mid + 7, 0.0),
+            SparseEvent(0, mid + 1, 0.0),
+        ]
+        chi, ridged = solve(psi, table)
+        assert not ridged
+        _, want = lstsq_increments(psi, residual, waveforms)
+        np.testing.assert_allclose(chi, want, rtol=1e-9, atol=1e-12)
+
+    def test_pair_beyond_each_others_reach_has_zero_gram(self, monkeypatch):
+        """Two short events at either end of a long new event do not overlap
+        each other, 44 samples apart: past the Lmax - 1 = 39 lags back and the
+        L = 10 lags forward that X keeps, so their Gram entries are exactly 0
+        and not read from a neighbouring atom's rows of X."""
+        rng = np.random.default_rng(3026)
+        waveforms = [rng.standard_normal(L) for L in (10, 40)]
+        waveforms = [w / np.linalg.norm(w) for w in waveforms]
+        residual = rng.standard_normal(200)
+        table = correlate_all(residual, waveforms)
+        psi = [SparseEvent(0, 95, 0.0), SparseEvent(0, 139, 0.0), SparseEvent(1, 100, 0.0)]
+        grams = []
+        dposv = pursuit._lapack.dposv
+
+        def spy(G, b, lower):
+            grams.append(G.copy())
+            return dposv(G, b, lower=lower)
+
+        monkeypatch.setattr(pursuit, "_lapack", SimpleNamespace(dposv=spy))
+        chi, ridged = solve(psi, table)
+        assert not ridged
+        (G,) = grams
+        assert G[0, 1] == 0.0 and G[1, 0] == 0.0
+        gram, want = lstsq_increments(psi, residual, waveforms)
+        np.testing.assert_allclose(G, gram, rtol=0, atol=1e-14)
         np.testing.assert_allclose(chi, want, rtol=1e-9, atol=1e-12)
 
     def test_duplicate_event_triggers_ridge(self):
@@ -581,22 +715,23 @@ class TestSolveNeighborhood:
         w /= np.linalg.norm(w)
         residual = rng.standard_normal(20)
         psi = [SparseEvent(0, 3, 0.0), SparseEvent(0, 3, 0.0)]
-        chi, ridged = solve_neighborhood(psi, residual, [w])
+        chi, ridged = solve(psi, correlate_all(residual, [w]))
         assert ridged
         assert np.all(np.isfinite(chi))
 
     def test_empty_neighborhood_rejected(self):
+        table = correlate_all(np.ones(10), [np.ones(2) / np.sqrt(2)])
         with pytest.raises(ValueError):
-            solve_neighborhood([], np.zeros(10), [np.ones(2)])
+            solve([], table)
 
     def test_singleton_is_plain_correlation(self):
         rng = np.random.default_rng(3009)
         w = rng.standard_normal(6)
         w /= np.linalg.norm(w)
         residual = rng.standard_normal(30)
-        chi, ridged = solve_neighborhood([SparseEvent(0, 7, 0.0)], residual, [w])
+        chi, ridged = solve([SparseEvent(0, 7, 0.0)], correlate_all(residual, [w]))
         assert not ridged
-        assert chi[0] == pytest.approx(float(np.dot(residual[7:13], w)))
+        assert chi[0] == pytest.approx(float(np.dot(residual[7:13], w)), rel=1e-12)
 
 
 class TestUpdateResidual:
@@ -706,12 +841,13 @@ class TestCorrelationTable:
             assert (table._spectra is not None) == spectral
             mid = n // 2
             events = [SparseEvent(1, mid, 0.0), SparseEvent(2, mid + 3, 0.0)]
-            starts = [(ev.offset, pos) for pos, ev in enumerate(events)]
             new_event = SparseEvent(0, mid + 5, 0.0)
-            omp = neighborhood(events, starts, new_event, lengths)
-            assert len(omp) == 3
+            starts = start_index(events, list(lengths))
+            prior = neighborhood(starts, mid + 5, mid + 5 + lengths[0], max(lengths))
+            assert prior == [0, 1]
+            omp = [events[pos] for pos in prior] + [new_event]
             for psi in ([events[0]], [events[1]], omp):
-                chi, _ = solve_neighborhood(psi, residual, waveforms)
+                chi, _ = solve(psi, table)
                 t0, t1 = update_residual(residual, psi, chi, waveforms)
                 table.refresh(t0, t1, psi, chi)
                 for i, w in enumerate(waveforms):
