@@ -34,7 +34,6 @@ from .metrics import (
     p_sweep,
     profile_dictionary,
     profile_signal,
-    rates_table,
     timing_profile,
     write_table,
 )
@@ -218,12 +217,11 @@ def cmd_encode(args) -> int:
     save_code(code, args.out, residual_path=args.residual)
     print(f"code={args.out}")
     print(f"events={len(code.events)}")
-    energy = float(np.dot(sig.samples, sig.samples))
-    if energy == 0.0:
-        print("snr_db=degenerate (zero-energy input)")
-    else:
-        approx = reconstruct(code, dictionary)
-        print(f"snr_db={clamp_db(snr_db(sig.samples, approx)):.2f}")
+    try:
+        snr = f"{clamp_db(snr_db(sig.samples, reconstruct(code, dictionary))):.2f}"
+    except DegenerateSignalError:
+        snr = "degenerate (zero-energy input)"
+    print(f"snr_db={snr}")
     return EXIT_OK
 
 
@@ -256,7 +254,7 @@ def _entropy_rows(args, dictionary, sig, cfg) -> list:
 def _rates_rows(args, dictionary, sig, cfg) -> list:
     code = match(dictionary, sig, cfg)
     rates = event_rates(code, sig.sample_rate, len(dictionary.atoms))
-    return [(i, f"{r:.6f}") for i, r in rates_table(rates)]
+    return [(i, f"{r:.6f}") for i, r in enumerate(rates)]
 
 
 def _histogram_rows(args, dictionary, sig, cfg) -> list:

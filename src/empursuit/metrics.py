@@ -31,13 +31,11 @@ __all__ = [
     "profile_dictionary",
     "profile_signal",
     "timing_profile",
-    "rates_table",
     "write_table",
     "clamp_db",
 ]
 
 HISTOGRAM_BIN_COUNTS = (16, 32, 64)
-TOP_RATES = 25
 DB_DISPLAY_LIMIT = 120.0
 # profile_signal's events per sample, amplitude decay per atom index, and
 # noise standard deviation.
@@ -98,8 +96,7 @@ def coeff_histogram(code: SparseCode, bins: int) -> np.ndarray:
 
 def coeff_entropy(code: SparseCode, bins: int) -> float:
     """Entropy (bits) of coeff_histogram; 0 bits when one bin holds every event."""
-    counts = coeff_histogram(code, bins)
-    return 0.0 if counts[0] == counts.sum() else _entropy_bits(counts)
+    return _entropy_bits(coeff_histogram(code, bins))
 
 
 def event_rates(code: SparseCode, sample_rate: int, m: int) -> np.ndarray:
@@ -107,12 +104,6 @@ def event_rates(code: SparseCode, sample_rate: int, m: int) -> np.ndarray:
     if code.window_len == 0 or sample_rate <= 0:
         raise ValueError("cannot compute rates over zero signal duration")
     return _index_counts(code, m) / (code.window_len / sample_rate)
-
-
-def rates_table(rates: np.ndarray) -> list[tuple[int, float]]:
-    """(atom_index, rate) rows sorted by rate descending, the top TOP_RATES."""
-    order = np.argsort(-rates, kind="stable")
-    return [(int(i), float(rates[i])) for i in order[:TOP_RATES]]
 
 
 def denoise_sweep(

@@ -185,7 +185,10 @@ class SparseEvent:
     atom_index: int
     offset: int
     coefficient: float
-    flagged: bool = False  # set when a ridge-stabilized solve touched it
+    # Set on the new event of a step whose Gram matrix Cholesky rejected, so
+    # that step was solved with a ridge term; its earlier events stay unset.
+    # An ill-conditioned solve that Cholesky accepts sets nothing.
+    flagged: bool = False
 
 
 @dataclass

@@ -428,23 +428,32 @@ class TestEvalCommand:
         assert float(by_variant["emp"][2]) == pytest.approx(2.0, abs=1e-6)
         assert float(by_variant["eomp"][2]) == pytest.approx(2.0, abs=1e-6)
 
-    def test_rates_table(self, tmp_path, synth_cfg, dict_path):
-        out = str(tmp_path / "rates.csv")
-        assert (
-            main(
-                [
-                    "eval", "--synth", synth_cfg, "--dict", dict_path,
-                    "--analysis", "rates", "--out", out,
-                ]
+    def test_rates_table(self, tmp_path, synth_cfg):
+        """One row per atom in atom order, past 25 atoms too; the rows count
+        every event coded."""
+        duration = 2000 / 8000  # synth_cfg's length over its sample rate
+        for m in (4, 30):
+            dict_path = str(tmp_path / f"dict{m}.json")
+            save_dict(randdict(m, seed=1, sample_rate_hint=8000), dict_path)
+            out = str(tmp_path / f"rates{m}.csv")
+            assert (
+                main(
+                    [
+                        "eval", "--synth", synth_cfg, "--dict", dict_path,
+                        "--analysis", "rates", "--out", out,
+                    ]
+                )
+                == EXIT_OK
             )
-            == EXIT_OK
-        )
-        _, columns, rows = read_table(out)
-        assert columns == ["variant", "atom_index", "events_per_second"]
-        assert [r[0] for r in rows] == [v for v in VARIANTS for _ in range(4)]
-        for v in VARIANTS:
-            values = [float(r[2]) for r in rows if r[0] == v]
-            assert values == sorted(values, reverse=True)
+            _, columns, rows = read_table(out)
+            assert columns == ["variant", "atom_index", "events_per_second"]
+            assert [r[0] for r in rows] == [v for v in VARIANTS for _ in range(m)]
+            events = m * PursuitConfig().quota(2000, m)  # 100 at m=4, 90 at m=30
+            for v in VARIANTS:
+                mine = [r for r in rows if r[0] == v]
+                assert [int(r[1]) for r in mine] == list(range(m))
+                total = sum(float(r[2]) * duration for r in mine)
+                assert total == pytest.approx(events, abs=1e-6)
 
     def test_histograms_table(self, tmp_path, synth_cfg, dict_path):
         out = str(tmp_path / "hist.csv")

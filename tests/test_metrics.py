@@ -23,7 +23,6 @@ from empursuit.metrics import (
     p_sweep,
     profile_dictionary,
     profile_signal,
-    rates_table,
     timing_profile,
     write_table,
 )
@@ -173,20 +172,6 @@ class TestEventRates:
         code = match(d, sig, PursuitConfig(variant="mp", p=0.05))
         rates = event_rates(code, sample_rate=8000, m=4)
         assert rates.max() > rates.min()
-
-
-class TestRatesTable:
-    def test_sorted_descending_and_truncated(self):
-        rates = np.arange(30, dtype=float)
-        rows = rates_table(rates)
-        assert len(rows) == 25
-        assert rows[0] == (29, 29.0)
-        values = [v for _, v in rows]
-        assert values == sorted(values, reverse=True)
-
-    def test_ties_keep_ascending_index_order(self):
-        rows = rates_table(np.array([1.0, 1.0, 2.0]))
-        assert rows == [(2, 2.0), (0, 1.0), (1, 1.0)]
 
 
 class TestEventStats:
