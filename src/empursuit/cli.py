@@ -91,9 +91,9 @@ def _environment() -> dict:
     """Package, numpy, scipy and BLAS versions, BLAS thread settings and CPU.
 
     Timings depend on the BLAS the pursuit runs on, so every run records
-    it: ``blas`` is numpy's (the table build and the Gram matrices),
-    ``scipy_blas`` is scipy's own (the table updates, residual updates and
-    neighbourhood solves). The result is constant for a process.
+    it: ``blas`` is numpy's (the matmul table build and the lone-event dot
+    products), ``scipy_blas`` is scipy's own (the table updates, residual
+    updates and neighbourhood solves). The result is constant for a process.
     """
     return {
         "empursuit": __version__,

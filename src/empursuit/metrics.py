@@ -12,7 +12,6 @@ import csv
 import dataclasses
 import functools
 import math
-import os
 import time
 
 import numpy as np
@@ -182,6 +181,11 @@ def profile_signal(dictionary: Dictionary, length: int, seed: int = 0) -> Signal
     steadily over the whole run instead of all at the end. The density
     supplies each atom ~5% more events than a p=0.05 quota needs.
     """
+    longest = max(len(w) for w in dictionary.waveforms)
+    if length < longest:
+        raise ValueError(
+            f"signal of {length} samples is shorter than the longest atom ({longest})"
+        )
     rng = np.random.default_rng((seed, 11))
     m = len(dictionary.atoms)
     counts = rng.multinomial(int(round(PROFILE_DENSITY * length)), np.full(m, 1 / m))
@@ -212,21 +216,16 @@ def _reference_problem() -> tuple[Dictionary, np.ndarray, PursuitConfig]:
     return d, x, PursuitConfig(variant="mp", p=0.05)
 
 
-def _reference_kernel() -> None:
-    """A fixed small pursuit, the yardstick for the core's current speed.
+def _time_reference(loops: int) -> float:
+    """Thread CPU seconds per call of a fixed small pursuit, over loops calls.
 
-    It mixes interpreter and numpy work as the profiled calls do, so a
-    slowdown of the core shows in it in the same proportion.
+    The pursuit mixes interpreter and numpy work as the profiled calls do,
+    so a slowdown of the core shows in it in the same proportion.
     """
     d, x, cfg = _reference_problem()
-    match(d, x, cfg)
-
-
-def _time_reference(loops: int) -> float:
-    """Thread CPU seconds per reference kernel call, over loops calls."""
     t0 = time.thread_time()
     for _ in range(loops):
-        _reference_kernel()
+        match(d, x, cfg)
     return (time.thread_time() - t0) / loops
 
 
@@ -259,11 +258,11 @@ def timing_profile(
     descheduling, and unlike process CPU time it does not count BLAS
     worker threads spin-waiting between calls, which varies with the
     load on the other cores. On a shared host the speed of a core still
-    drifts by tens of percent over seconds, so the thread is pinned to one
-    core, every call is preceded by a fixed small reference pursuit run
-    for about as long, and the call's time is scaled by the reference's
-    best time, measured once per process, over its time right then.
-    Profiles taken in one process thus share one speed scale.
+    drifts by tens of percent over seconds, so every call is preceded by a
+    fixed small reference pursuit run for about as long, and the call's
+    time is scaled by the reference's best time, measured once per
+    process, over its time right then. Profiles taken in one process thus
+    share one speed scale.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
@@ -272,37 +271,26 @@ def timing_profile(
     samples = x.samples
     if len(samples) < max(window_lengths):
         raise ValueError("profiling signal shorter than the largest window")
-    # Pin the calling thread to one core for the whole profile: the cores of
-    # a shared host drift independently, so a reference timed on one core
-    # says nothing about a call that migrated to the other.
-    pin = hasattr(os, "sched_setaffinity")
-    if pin:
-        allowed = os.sched_getaffinity(0)
-        os.sched_setaffinity(0, {min(allowed)})
-    try:
-        ref = _reference_seconds()
-        cfgs = {v: PursuitConfig(variant=v, p=p) for v in VARIANTS}
-        cells = [(v, int(n)) for v in VARIANTS for n in window_lengths]
-        scaled = {cell: [] for cell in cells}
-        events, loops, ref_loops = {}, {}, {}
+    ref = _reference_seconds()
+    cfgs = {v: PursuitConfig(variant=v, p=p) for v in VARIANTS}
+    cells = [(v, int(n)) for v in VARIANTS for n in window_lengths]
+    scaled = {cell: [] for cell in cells}
+    events, loops, ref_loops = {}, {}, {}
+    for v, n in cells:
+        t0 = time.thread_time()
+        code = match(dictionary, samples[:n], cfgs[v])
+        dt = time.thread_time() - t0
+        events[(v, n)] = max(len(code.events), 1)
+        loops[(v, n)] = max(1, math.ceil(MIN_CELL_SECONDS / max(dt, 1e-9)))
+        ref_loops[(v, n)] = max(1, round(dt / ref))
+    for _ in range(repeats):
         for v, n in cells:
-            t0 = time.thread_time()
-            code = match(dictionary, samples[:n], cfgs[v])
-            dt = time.thread_time() - t0
-            events[(v, n)] = max(len(code.events), 1)
-            loops[(v, n)] = max(1, math.ceil(MIN_CELL_SECONDS / max(dt, 1e-9)))
-            ref_loops[(v, n)] = max(1, round(dt / ref))
-        for _ in range(repeats):
-            for v, n in cells:
-                for _ in range(loops[(v, n)]):
-                    r = _time_reference(ref_loops[(v, n)])
-                    t0 = time.thread_time()
-                    match(dictionary, samples[:n], cfgs[v])
-                    dt = time.thread_time() - t0
-                    scaled[(v, n)].append(dt * ref / max(r, 1e-12))
-    finally:
-        if pin:
-            os.sched_setaffinity(0, allowed)
+            for _ in range(loops[(v, n)]):
+                r = _time_reference(ref_loops[(v, n)])
+                t0 = time.thread_time()
+                match(dictionary, samples[:n], cfgs[v])
+                dt = time.thread_time() - t0
+                scaled[(v, n)].append(dt * ref / max(r, 1e-12))
     return [
         (v, n, float(np.median(scaled[(v, n)])) / (n * events[(v, n)]))
         for v, n in cells

@@ -771,6 +771,10 @@ class TestExitCodes:
             (["profile", "--windows", "-5"], "--windows must list lengths >= 1"),
             (["profile", "--windows", "0"], "--windows must list lengths >= 1"),
             (
+                ["profile", "--windows", "100"],
+                "signal of 100 samples is shorter than the longest atom (128)",
+            ),
+            (
                 ["learn", "--synth", "{synth}", "--checkpoint-every", "1"],
                 "unrecognized arguments: --checkpoint-every 1",
             ),
@@ -788,8 +792,8 @@ class TestExitCodes:
             "sample-rate-0", "repeats-0", "p-grid-step-0", "p-grid-ratio",
             "unknown-variant", "bad-ratio", "quota-below-1", "quota-below-1-mp",
             "encode-iters", "eval-iters", "windows-empty", "windows-negative",
-            "windows-0", "learn-checkpoint-every", "learn-checkpoint-dir",
-            "ratios-empty",
+            "windows-0", "windows-below-atom", "learn-checkpoint-every",
+            "learn-checkpoint-dir", "ratios-empty",
         ],
     )
     def test_rejected_run_writes_no_output_or_run_config(

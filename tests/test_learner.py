@@ -10,6 +10,7 @@ import pytest
 from empursuit import learner
 from empursuit.dictionary import Atom, Dictionary, load_dict, randdict, save_dict
 from empursuit.learner import (
+    MIN_ATOM_LEN_CAP,
     BlockRecord,
     LearnConfig,
     apply_update,
@@ -18,7 +19,7 @@ from empursuit.learner import (
     write_trace,
 )
 from empursuit.pursuit import PursuitConfig, SparseCode, SparseEvent
-from empursuit.signal_io import Signal, next_block, synth_signal
+from empursuit.signal_io import Signal, build_synth_signal, next_block, synth_signal
 from reference_learner import loop_gradient, loop_update
 
 
@@ -409,6 +410,32 @@ class TestDlearn:
             assert (a.snr_db, a.residual_var) == (b.snr_db, b.residual_var)
             assert np.array_equal(a.event_counts, b.event_counts)
             assert a.atom_lengths == b.atom_lengths
+
+    @pytest.mark.parametrize("variant", ["mp", "omp", "emp", "eomp"])
+    def test_signal_scaled_by_a_power_of_two_learns_the_same_atoms(self, variant):
+        """dlearn on 2**k * x learns x's atoms bit for bit.
+
+        Events, SNRs and atoms are unchanged and each block's residual
+        variance scales by exactly 4**k; at this eta the tails grow, so
+        growth is covered too. A replacement step, such as the scale-free
+        one of ROADMAP item 1, must keep this property.
+        """
+        x, _ = build_synth_signal({
+            "length": 65536, "seed": 3, "noise_sigma": 0.01,
+            "atoms": {"count": 8, "length": 48}, "placements": {"rate": 0.003},
+        })
+        cfg = LearnConfig(
+            m=8, n_blocks=6, block_len=8192, seed=3, eta=1e-4, variant=variant
+        )
+        d0, t0 = dlearn(x, cfg)
+        assert max(len(w) for w in d0.waveforms) > MIN_ATOM_LEN_CAP
+        for k in (-3, 2, 10):
+            d, t = dlearn(Signal(np.ldexp(x.samples, k), x.sample_rate), cfg)
+            assert d == d0
+            for a, b in zip(t, t0, strict=True):
+                assert a.snr_db == b.snr_db
+                assert np.array_equal(a.event_counts, b.event_counts)
+                assert a.residual_var == np.ldexp(b.residual_var, 2 * k)
 
     def test_float_sample_rate_gives_a_loadable_dictionary(self, tmp_path):
         src = training_source(6)

@@ -381,6 +381,14 @@ class TestProfileHelpers:
             sig.samples, profile_signal(d, 2048, seed=5).samples
         )
 
+    def test_signal_shorter_than_longest_atom_rejected(self):
+        """Where the longest atom cannot be placed, the error names both lengths."""
+        d = Dictionary([Atom(np.ones(16) / 4.0), Atom(np.ones(8) / math.sqrt(8))])
+        assert len(profile_signal(d, 16)) == 16
+        message = r"signal of 15 samples is shorter than the longest atom \(16\)"
+        with pytest.raises(ValueError, match=message):
+            profile_signal(d, 15)
+
 
 class TestTimingProfile:
     @pytest.fixture(autouse=True)
