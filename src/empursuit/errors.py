@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["EmpursuitError", "DataFormatError", "DegenerateSignalError", "ZeroAtomError"]
+
 
 class EmpursuitError(Exception):
     """Base class for all package errors."""

@@ -18,25 +18,7 @@ each atom at Q selections per window: every atom ends at quota, and the
 empirical index distribution is exactly uniform.
 
 Correlations of every atom at every offset live in one table, built once
-per window and then updated incrementally. The build is exact: one matmul
-over the residual's sliding windows while the longest atom is shorter than
-_OVERLAP_SAVE_LMAX (200 samples, a measured crossover), and from there on
-overlap-save FFTs from the atom spectra that the update's
-cross-correlations are built from anyway. After the build, a step that
-subtracts chi times atom a at offset tau changes each correlation by chi
-times a precomputed cross-correlation of atom a with that atom, so only
-the offsets within reach of tau are touched, without re-reading the
-residual (the MPTK update). Those cross-correlations are kept only at the
-lags a step reaches, 8 * M * sum_i(Lmax - 1 + L_i) bytes, so a short atom
-costs less than the longest one. A flat index makes the argmax cheap: per
-block of BLOCK offsets, the largest |correlation| over all atoms and its
-first position; each step recomputes only the blocks it touched. Exact
-ties go to the lowest offset, then the lowest atom: the index's own
-row-major order, so the search reads the winner off the top block's
-position. An atom that reaches its quota is deactivated in the table,
-which is the only place the quota is enforced: it leaves the index
-lazily, block by block, so select() searches the live atoms alone without
-a pass over the table.
+per window and then updated incrementally: see CorrelationTable.
 
 A lone event's coefficient (every mp and emp step, and an omp/eomp step
 that overlaps no prior event) is its correlation recomputed from the
@@ -286,7 +268,9 @@ class CorrelationTable:
     is built from) and inverse-transformed in one batch, and the
     nfft - Lmax + 1 offsets whose circular correlation does not wrap fill T.
 
-    refresh() applies each step incrementally: a residual change of -chi at
+    refresh() applies each step incrementally, without re-reading the
+    residual (the MPTK update; Krstulovic & Gribonval, "MPTK: Matching
+    Pursuit made tractable", ICASSP 2006): a residual change of -chi at
     offset tau by atom a moves row t of T by
     -chi * X[start[a] + t - tau + Lmax-1], one contiguous daxpy per
     neighborhood event over the offsets the event can reach. X holds the
@@ -308,7 +292,8 @@ class CorrelationTable:
     T is a view of a buffer padded with zero rows to whole blocks; the pad
     follows every real offset, so no search picks it.
 
-    deactivate() drops an atom lazily: it sets the atom's column of a
+    deactivate() drops an atom that reaches its quota, the only place the
+    quota is enforced. It does so lazily: it sets the atom's column of a
     0/-inf penalty tile that later refreshes add to |T|, and best()
     re-evaluates over live atoms any block whose top entry is dead before
     accepting it. So Bm[b] lies between the block's live-atom and all-atom

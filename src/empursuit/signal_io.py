@@ -102,6 +102,10 @@ def _read_wav(buf: bytes) -> tuple[int, np.ndarray, int]:
         raise ValueError("no data chunk" if fmt else "no fmt chunk")
 
     tag, channels, rate, _, block_align, bits = fmt
+    if channels and block_align % channels:
+        raise ValueError(
+            f"block align {block_align} does not split into {channels} channels"
+        )
     width = block_align // channels if channels else 0
     n = len(body) // block_align * channels if width else 0
     if tag == _PCM and bits > 8 and width in _PCM_SCALE:
@@ -133,7 +137,8 @@ def load_wav(path) -> Signal:
     or float64; any number of channels; a plain or WAVE_FORMAT_EXTENSIBLE
     fmt chunk; little-endian (RIFF) or big-endian (RIFX) files. Chunks
     other than fmt and data are skipped. 8-bit PCM, compressed formats and
-    RF64 raise DataFormatError, as do a sample rate of 0 and a non-finite
+    RF64 raise DataFormatError, as do a sample rate of 0, a block align
+    that is not a whole number of bytes per channel and a non-finite
     sample. Multi-channel input is downmixed by channel averaging. PCM
     samples are scaled by the full scale of their container (16-bit sample
     32767 maps to 32767/32768); float samples are kept as they are.
@@ -288,8 +293,8 @@ def build_synth_signal(cfg: dict) -> tuple[Signal, list[np.ndarray]]:
     Raises DataFormatError for a malformed config: a missing or mistyped
     key, a length, sample rate, seed, atom count or event atom or offset
     that is not a whole number (a bool, a string or 2000.5), an all-zero
-    atom, an event on an atom that does not exist or outside the signal,
-    or a rate or noise level that is negative or NaN.
+    atom, a negative atom count, an event on an atom that does not exist
+    or outside the signal, or a rate or noise level that is negative or NaN.
     """
     try:
         return _synth_from_config(cfg)
@@ -312,6 +317,8 @@ def _synth_from_config(cfg: dict) -> tuple[Signal, list[np.ndarray]]:
         rng = np.random.default_rng((seed, 1))
         count = whole_number(atoms_cfg["count"], "atoms count")
         alen = whole_number(atoms_cfg["length"], "atoms length")
+        if count < 0:
+            raise ValueError(f"atoms count must be >= 0, got {count}")
         raw = [rng.standard_normal(alen) for _ in range(count)]
     elif kind == "explicit":
         raw = [np.asarray(w, dtype=np.float64) for w in atoms_cfg["waveforms"]]

@@ -509,6 +509,34 @@ class TestShiftEquivariance:
             np.testing.assert_array_equal(head.residual, np.roll(tail.residual, s))
 
 
+class TestScaleEquivariance:
+    """A pursuit of 2^k x is the pursuit of x with every value scaled by 2^k.
+
+    Exact for all four variants on both table builds: a power-of-two scale
+    commutes with rounding (no value here underflows or overflows), so every
+    correlation, comparison and increment scales exactly. The Gram matrix
+    and the ridge term come from the atoms alone, and the selection floor
+    scales with ||x||, so no decision depends on the scale.
+    """
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("atom_len", [64, 256])
+    def test_events_coefficients_and_residual_scale_exactly(self, atom_len, variant):
+        d = profile_dictionary(8, atom_len, seed=0)
+        x = profile_signal(d, 8192, seed=0).samples
+        cfg = PursuitConfig(variant=variant)
+        base = match(d, x, cfg)
+        for k in (-20, 3, 30):
+            scaled = match(d, np.ldexp(x, k), cfg)
+            assert [(e.atom_index, e.offset, e.flagged) for e in scaled.events] == [
+                (e.atom_index, e.offset, e.flagged) for e in base.events
+            ]
+            assert [e.coefficient for e in scaled.events] == [
+                np.ldexp(e.coefficient, k) for e in base.events
+            ]
+            np.testing.assert_array_equal(scaled.residual, np.ldexp(base.residual, k))
+
+
 class TestQuotaExactness:
     @pytest.mark.parametrize("variant", ["emp", "eomp"])
     def test_counts_exactly_quota(self, variant):

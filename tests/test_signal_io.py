@@ -313,6 +313,20 @@ class TestWavScipyCompatibility:
                 ),
                 id="float signalling NaN sample",
             ),
+            pytest.param(
+                # Frames of three PCM16 samples and two pad bytes: a block
+                # align of 8 does not split into 3 channels.
+                wav_image(
+                    [
+                        (b"fmt ", struct.pack("<HHIIHH", 1, 3, 8000, 64000, 8, 16)),
+                        (b"data", np.array(
+                            [[1, 2, 3, 0], [4, 5, 6, 0], [7, 8, 9, 0], [10, 11, 12, 0]],
+                            "<i2",
+                        ).tobytes()),
+                    ]
+                ),
+                id="block align not divisible by channels",
+            ),
         ],
     )
     def test_bad_files_are_data_errors(self, tmp_path, image):
@@ -503,6 +517,17 @@ class TestBuildSynthSignal:
     def test_missing_keys_rejected(self):
         with pytest.raises(DataFormatError):
             build_synth_signal({"length": 100})
+
+    def test_negative_atom_count_rejected_and_zero_kept(self):
+        cfg = {
+            "length": 200, "noise_sigma": 0.1,
+            "atoms": {"count": -3, "length": 10}, "placements": {"rate": 0.01},
+        }
+        with pytest.raises(DataFormatError, match="atoms count"):
+            build_synth_signal(cfg)
+        cfg["atoms"]["count"] = 0
+        sig, hidden = build_synth_signal(cfg)
+        assert hidden == [] and len(sig) == 200 and np.any(sig.samples != 0)
 
     @pytest.mark.parametrize("idx", [-1, 1])
     def test_explicit_event_on_missing_atom_rejected(self, idx):
