@@ -31,7 +31,6 @@ from .metrics import (
     denoise_sweep,
     event_rates,
     index_entropy,
-    p_sweep,
     profile_dictionary,
     profile_signal,
     timing_profile,
@@ -154,9 +153,12 @@ def _csv_list(text: str, kind: type) -> list:
 
 
 def _parse_grid(text: str) -> list[float]:
-    """start:step:stop inclusive, e.g. 0.01:0.01:0.10, stepped in exact fractions
-    so that each value is the decimal it names (0.07, not 0.06999999999999999)."""
-    from fractions import Fraction  # imports decimal (~4 ms); only psweep needs it
+    """One number, or start:step:stop inclusive, e.g. 0.01:0.01:0.10, stepped in
+    exact fractions so that each value is the decimal it names (0.07, not
+    0.06999999999999999)."""
+    if ":" not in text:
+        return [float(text)]
+    from fractions import Fraction  # imports decimal (~4 ms); only a grid needs it
     parts = text.split(":")
     if len(parts) != 3 or "/" in text:  # Fraction would also read 1/3, or 1/0
         raise ValueError(f"grid must be start:step:stop, got {text!r}")
@@ -177,7 +179,7 @@ def _cpu_model() -> str:
     return "unknown"
 
 
-def cmd_learn(args) -> int:
+def cmd_learn(args) -> None:
     sig = _load_input(args)
     cfg = LearnConfig(
         m=args.atoms,
@@ -205,10 +207,9 @@ def cmd_learn(args) -> int:
     print(f"dictionary={args.out}")
     print(f"trace={trace_path}")
     print(f"blocks={len(trace)}")
-    return EXIT_OK
 
 
-def cmd_encode(args) -> int:
+def cmd_encode(args) -> None:
     _check_outputs(args, args.residual)
     dictionary = load_dict(args.dict)
     sig = _load_input(args)
@@ -222,10 +223,9 @@ def cmd_encode(args) -> int:
     except DegenerateSignalError:
         snr = "degenerate (zero-energy input)"
     print(f"snr_db={snr}")
-    return EXIT_OK
 
 
-def cmd_reconstruct(args) -> int:
+def cmd_reconstruct(args) -> None:
     _check_outputs(args)
     dictionary = load_dict(args.dict)
     code = load_code(args.code)
@@ -241,7 +241,6 @@ def cmd_reconstruct(args) -> int:
     save_wav(Signal(approx, int(rate)), args.out, encoding=args.encoding)
     print(f"wav={args.out}")
     print(f"samples={len(approx)}")
-    return EXIT_OK
 
 
 def _entropy_rows(args, dictionary, sig, cfg) -> list:
@@ -269,13 +268,13 @@ def _denoise_rows(args, dictionary, sig, cfg) -> list:
     return [(ratio, f"{clamp_db(snr):.2f}") for ratio, snr in sweep]
 
 
-def _psweep_rows(args, dictionary, sig, cfg) -> list:
-    sweep = p_sweep(dictionary, sig, _parse_grid(args.p_grid), cfg)
-    return [(f"{p:.4f}", f"{clamp_db(snr):.2f}") for p, snr in sweep]
+def _snr_rows(args, dictionary, sig, cfg) -> list:
+    code = match(dictionary, sig, cfg)
+    return [(f"{clamp_db(snr_db(sig.samples, sig.samples - code.residual)):.2f}",)]
 
 
-# Each analysis `eval` runs: its columns after `variant`, its rows for one
-# pursuit configuration, and the flags its CSV header records after `p`.
+# Each analysis `eval` runs: its columns after `variant` and `p`, its rows for
+# one pursuit configuration, and the flags its CSV header records.
 _ANALYSES = {
     "entropy": (
         ["events", "index_entropy_bits"]
@@ -285,28 +284,29 @@ _ANALYSES = {
     "rates": (["atom_index", "events_per_second"], _rates_rows, ()),
     "histograms": (["bins", "bin_index", "count"], _histogram_rows, ()),
     "denoise": (["noise_ratio", "snr_db"], _denoise_rows, ("noise_seed",)),
-    "psweep": (["p", "snr_db"], _psweep_rows, ()),
+    "snr": (["snr_db"], _snr_rows, ()),
 }
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> None:
     _check_outputs(args)
     dictionary = load_dict(args.dict)
     sig = _load_input(args)
     columns, rows_for, flags = _ANALYSES[args.analysis]
-    # Every variant is checked before the first pursuit runs.
-    cfgs = [PursuitConfig(variant=v, p=args.p) for v in args.variants.split(",")]
+    # Every (variant, p) is checked before the first pursuit runs.
+    grid = _parse_grid(args.p)
+    cfgs = [PursuitConfig(v, p) for v in args.variants.split(",") for p in grid]
     rows = [
-        (cfg.variant, *r) for cfg in cfgs for r in rows_for(args, dictionary, sig, cfg)
+        (cfg.variant, cfg.p, *r)
+        for cfg in cfgs for r in rows_for(args, dictionary, sig, cfg)
     ]
     _write_csv(
-        args, dictionary, ["variant", *columns], rows,
-        analysis=args.analysis, p=args.p, **{f: getattr(args, f) for f in flags},
+        args, dictionary, ["variant", "p", *columns], rows,
+        analysis=args.analysis, **{f: getattr(args, f) for f in flags},
     )
-    return EXIT_OK
 
 
-def cmd_profile(args) -> int:
+def cmd_profile(args) -> None:
     _check_outputs(args)
     windows = _csv_list(args.windows, int)
     if not windows or min(windows) < 1:
@@ -323,7 +323,6 @@ def cmd_profile(args) -> int:
         [(v, n, f"{t:.3e}") for v, n, t in rows],
         cpu_model=_cpu_model(), p=args.p, repeats=args.repeats,
     )
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -389,13 +388,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma list, default %(default)s; every analysis runs each",
     )
     p_eval.add_argument(
-        "--p", type=float, default=PursuitConfig.p,
-        help="default %(default)s; every variant takes M*floor(p*N/M) steps; "
-        "psweep replaces it with each --p-grid value",
+        "--p", default=str(PursuitConfig.p),
+        help="one p or a start:step:stop grid such as 0.01:0.01:0.10, default "
+        "%(default)s; every analysis runs each variant at each p, and every "
+        "variant takes M*floor(p*N/M) steps",
     )
     p_eval.add_argument("--ratios", default="0.05,0.1,0.2,0.3")
     p_eval.add_argument("--noise-seed", type=int, default=0)
-    p_eval.add_argument("--p-grid", default="0.01:0.01:0.10")
     p_eval.add_argument("--out", required=True)
     p_eval.set_defaults(func=cmd_eval)
 
@@ -419,11 +418,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_OK
     try:
-        status = args.func(args)
-        if status == EXIT_OK:
-            with open(args.out + ".run.json", "w") as fh:
-                fh.write(_run_config(args, environment=_environment()) + "\n")
-        return status
+        args.func(args)
+        with open(args.out + ".run.json", "w") as fh:
+            fh.write(_run_config(args, environment=_environment()) + "\n")
+        return EXIT_OK
     except (DegenerateSignalError, ZeroAtomError, np.linalg.LinAlgError) as exc:
         print(f"error: numerical degeneracy: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -206,8 +206,6 @@ def load_dict(path) -> Dictionary:
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except FileNotFoundError:
-        raise
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DataFormatError(f"malformed dictionary file {path!r}: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != _FORMAT_NAME:

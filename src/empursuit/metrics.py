@@ -1,7 +1,7 @@
-"""Entropy, event-rate, denoising, p-sweep, and timing analyses.
+"""Entropy, event-rate, denoising and timing analyses.
 
-The event analyses each take one SparseCode; the denoising, p-sweep and
-timing analyses encode a signal with a dictionary themselves. All emit
+The event analyses each take one SparseCode; the denoising and timing
+analyses encode a signal with a dictionary themselves. All emit
 plain Python/numpy tables that the CLI serializes as CSV with commented
 headers.
 """
@@ -9,7 +9,6 @@ headers.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import functools
 import math
 import time
@@ -26,7 +25,6 @@ __all__ = [
     "coeff_entropy",
     "event_rates",
     "denoise_sweep",
-    "p_sweep",
     "profile_dictionary",
     "profile_signal",
     "timing_profile",
@@ -128,24 +126,6 @@ def denoise_sweep(
         code = match(dictionary, noisy, cfg)
         approx = noisy.samples - code.residual
         rows.append((float(ratio), snr_db(clean.samples, approx)))
-    return rows
-
-
-def p_sweep(
-    dictionary: Dictionary,
-    x: Signal,
-    p_values: list[float],
-    cfg: PursuitConfig,
-) -> list[tuple[float, float]]:
-    """Reconstruction SNR of the signal encoded with cfg at each p in p_values."""
-    if not p_values:
-        raise ValueError("p_values must list one or more p")
-    # Every p is checked, by building its config, before the first pursuit.
-    cfgs = [dataclasses.replace(cfg, p=float(p)) for p in p_values]
-    rows: list[tuple[float, float]] = []
-    for c in cfgs:
-        code = match(dictionary, x, c)
-        rows.append((c.p, snr_db(x.samples, x.samples - code.residual)))
     return rows
 
 
@@ -271,9 +251,12 @@ def timing_profile(
     samples = x.samples
     if len(samples) < max(window_lengths):
         raise ValueError("profiling signal shorter than the largest window")
-    ref = _reference_seconds()
     cfgs = {v: PursuitConfig(variant=v, p=p) for v in VARIANTS}
     cells = [(v, int(n)) for v in VARIANTS for n in window_lengths]
+    lengths = [len(w) for w in dictionary.waveforms]
+    for v, n in cells:  # every cell is checked before the first pursuit
+        cfgs[v].window_quota(n, lengths)
+    ref = _reference_seconds()
     scaled = {cell: [] for cell in cells}
     events, loops, ref_loops = {}, {}, {}
     for v, n in cells:

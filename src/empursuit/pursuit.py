@@ -149,15 +149,30 @@ class PursuitConfig:
     def quota(self, window_len: int, m: int) -> int:
         """Per-atom selection quota Q = floor(p * N / M), in exact integers.
 
-        p counts as the decimal it prints as, the one a user typed, as
-        --p-grid's values do: Q is 116 at p=0.29, N=1600, M=4, where the
-        binary product 0.29 * 1600 / 4 is 115.99999999999999.
+        p counts as the decimal it prints as, the one a user typed, as the
+        values of eval's --p grid do: Q is 116 at p=0.29, N=1600, M=4, where
+        the binary product 0.29 * 1600 / 4 is 115.99999999999999.
         """
         mantissa, _, exponent = repr(float(self.p)).partition("e")
         whole, _, fraction = mantissa.partition(".")
         # p = digits / 10**places, with places > 0 since p < 1.
         places = len(fraction) - int(exponent or 0)
         return int(whole + fraction) * window_len // (m * 10**places)
+
+    def window_quota(self, window_len: int, lengths: list[int]) -> int:
+        """The quota on a window for atoms of these lengths, checked as match()
+        needs it: the window holds the longest atom, and Q >= 1."""
+        if window_len < max(lengths):
+            raise ValueError(
+                f"window of {window_len} samples is shorter than the longest atom "
+                f"({max(lengths)})"
+            )
+        q = self.quota(window_len, len(lengths))
+        if q < 1:
+            raise ValueError(
+                f"quota floor(p*N/M) = {q} < 1; raise p or the window length"
+            )
+        return q
 
 
 @dataclass
@@ -613,17 +628,10 @@ def match(
     waveforms = dictionary.waveforms
     lengths = [len(w) for w in waveforms]
     m = len(waveforms)
-    if n < max(lengths):
-        raise ValueError(
-            f"window of {n} samples is shorter than the longest atom ({max(lengths)})"
-        )
+    q = config.window_quota(n, lengths)
     bad = _non_unit_atom(dictionary)
     if bad is not None:
         raise ValueError(f"atom {bad} is not unit norm")
-
-    q = config.quota(n, m)
-    if q < 1:
-        raise ValueError(f"quota floor(p*N/M) = {q} < 1; raise p or the window length")
     code = SparseCode(
         events=[],
         residual=samples.copy(),

@@ -28,7 +28,7 @@ from empursuit.cli import (
     build_parser,
     main,
 )
-from empursuit.dictionary import load_dict, randdict, save_dict
+from empursuit.dictionary import Atom, Dictionary, load_dict, randdict, save_dict
 from empursuit.learner import LearnConfig
 from empursuit.pursuit import VARIANTS, PursuitConfig, load_code, reconstruct
 from empursuit.signal_io import load_wav
@@ -201,7 +201,9 @@ class TestLearnCommand:
             ["eval", "--synth", "s.json", "--dict", "d.json", "--analysis", "rates",
              "--out", "x.csv"]
         )
-        assert (evaluate.p, evaluate.variants) == (pursuit.p, ",".join(VARIANTS))
+        assert (_parse_grid(evaluate.p), evaluate.variants) == (
+            [pursuit.p], ",".join(VARIANTS)
+        )
         profile = parser.parse_args(["profile", "--out", "x.csv"])
         assert profile.p == pursuit.p
 
@@ -229,7 +231,7 @@ class TestEncodeCommand:
         err = np.linalg.norm(sig.samples - approx - code.residual)
         assert err <= 1e-10 * np.linalg.norm(sig.samples)
 
-    def test_iteration_budget_from_equiprobable_quota(
+    def test_event_count_from_equiprobable_quota(
         self, tmp_path, synth_cfg, dict_path, capsys
     ):
         out = str(tmp_path / "mp.code")
@@ -356,8 +358,26 @@ class TestReconstructCommand:
         )
         assert load_code(code_path).dict_digest is None
 
+    def test_no_sample_rate_available_is_usage_exit(self, tmp_path, synth_cfg, capsys):
+        """A code without a rate, a dictionary without a hint and no --sample-rate."""
+        no_hint = str(tmp_path / "no-hint.json")
+        save_dict(randdict(4, seed=2), no_hint)
+        code_path = self.encode(tmp_path, synth_cfg, no_hint)
+        with open(code_path) as fh:
+            lines = [ln for ln in fh if not ln.startswith("#sample_rate=")]
+        with open(code_path, "w") as fh:
+            fh.writelines(lines)
+        assert load_code(code_path).sample_rate is None
+        capsys.readouterr()
+        wav_path = str(tmp_path / "out.wav")
+        argv = ["reconstruct", "--dict", no_hint, "--code", code_path, "--out", wav_path]
+        assert main(argv) == EXIT_USAGE
+        assert "no sample rate available" in capsys.readouterr().err
+        assert not os.path.exists(wav_path)
+        assert not os.path.exists(wav_path + ".run.json")
 
-ANALYSES = ["entropy", "denoise", "rates", "histograms", "psweep"]
+
+ANALYSES = ["entropy", "denoise", "rates", "histograms", "snr"]
 
 
 class TestEvalCommand:
@@ -386,11 +406,17 @@ class TestEvalCommand:
         "flags, message",
         [
             (["--analysis", "denoise", "--ratios", "0.1,0.2,-0.3"], "noise ratios"),
-            (["--analysis", "psweep", "--p-grid", "0.25:0.25:1.0"], "p must be in"),
+            (["--analysis", "snr", "--p", "0.25:0.25:1.0"], "p must be in"),
             (["--analysis", "denoise", "--ratios", "0,0.1", "--noise-seed", "-1"],
              "noise_seed must be >= 0, got -1"),
+            (["--analysis", "entropy", "--p", "0.1:0:0.05"], "bad grid '0.1:0:0.05'"),
+            (["--analysis", "rates", "--p", "0.01:1/0:0.05"],
+             "grid must be start:step:stop, got '0.01:1/0:0.05'"),
         ],
-        ids=["negative-ratio", "p-grid-reaches-1", "negative-noise-seed"],
+        ids=[
+            "negative-ratio", "p-grid-reaches-1", "negative-noise-seed",
+            "p-grid-step-0", "p-grid-ratio",
+        ],
     )
     def test_bad_sweep_setting_rejected_before_any_pursuit(
         self, tmp_path, synth_cfg, dict_path, monkeypatch, capsys, flags, message
@@ -398,6 +424,7 @@ class TestEvalCommand:
         def no_match(*args):
             raise AssertionError("a pursuit ran")
 
+        monkeypatch.setattr(empursuit.cli, "match", no_match)
         monkeypatch.setattr(empursuit.metrics, "match", no_match)
         out = str(tmp_path / "sweep.csv")
         argv = ["eval", "--synth", synth_cfg, "--dict", dict_path, "--out", out]
@@ -420,13 +447,13 @@ class TestEvalCommand:
         )
         header, columns, rows = read_table(out)
         assert header["analysis"] == "entropy"
-        assert columns[:3] == ["variant", "events", "index_entropy_bits"]
-        assert [r[0] for r in rows] == ["mp", "omp", "emp", "eomp"]
+        assert columns[:4] == ["variant", "p", "events", "index_entropy_bits"]
+        assert [r[:2] for r in rows] == [[v, "0.05"] for v in VARIANTS]
         # Sparsity parity: every variant is evaluated at the same event count.
-        assert len({r[1] for r in rows}) == 1
+        assert len({r[2] for r in rows}) == 1
         by_variant = {r[0]: r for r in rows}
-        assert float(by_variant["emp"][2]) == pytest.approx(2.0, abs=1e-6)
-        assert float(by_variant["eomp"][2]) == pytest.approx(2.0, abs=1e-6)
+        assert float(by_variant["emp"][3]) == pytest.approx(2.0, abs=1e-6)
+        assert float(by_variant["eomp"][3]) == pytest.approx(2.0, abs=1e-6)
 
     def test_rates_table(self, tmp_path, synth_cfg):
         """One row per atom in atom order, past 25 atoms too; the rows count
@@ -446,13 +473,13 @@ class TestEvalCommand:
                 == EXIT_OK
             )
             _, columns, rows = read_table(out)
-            assert columns == ["variant", "atom_index", "events_per_second"]
+            assert columns == ["variant", "p", "atom_index", "events_per_second"]
             assert [r[0] for r in rows] == [v for v in VARIANTS for _ in range(m)]
             events = m * PursuitConfig().quota(2000, m)  # 100 at m=4, 90 at m=30
             for v in VARIANTS:
                 mine = [r for r in rows if r[0] == v]
-                assert [int(r[1]) for r in mine] == list(range(m))
-                total = sum(float(r[2]) * duration for r in mine)
+                assert [int(r[2]) for r in mine] == list(range(m))
+                total = sum(float(r[3]) * duration for r in mine)
                 assert total == pytest.approx(events, abs=1e-6)
 
     def test_histograms_table(self, tmp_path, synth_cfg, dict_path):
@@ -467,7 +494,7 @@ class TestEvalCommand:
             == EXIT_OK
         )
         header, columns, rows = read_table(out)
-        assert columns == ["variant", "bins", "bin_index", "count"]
+        assert columns == ["variant", "p", "bins", "bin_index", "count"]
         per_variant = 16 + 32 + 64
         assert [r[0] for r in rows] == [v for v in VARIANTS for _ in range(per_variant)]
         # The entropies are the entropy analysis's to report.
@@ -485,7 +512,8 @@ class TestEvalCommand:
         ]
         assert main(flags) == EXIT_OK
         _, columns, rows = read_table(out)
-        assert [r[:3] for r in rows] == [["mp", "100", "0.000000"]]  # Q = 0.05 * 2000
+        # Q = 0.05 * 2000
+        assert [r[:4] for r in rows] == [["mp", "0.05", "100", "0.000000"]]
 
     def test_denoise_table(self, tmp_path, synth_cfg, dict_path):
         out = str(tmp_path / "denoise.csv")
@@ -500,61 +528,119 @@ class TestEvalCommand:
             == EXIT_OK
         )
         _, columns, rows = read_table(out)
-        assert columns == ["variant", "noise_ratio", "snr_db"]
-        assert [(r[0], float(r[1])) for r in rows] == [
-            ("omp", 0.0), ("omp", 0.1), ("eomp", 0.0), ("eomp", 0.1),
+        assert columns == ["variant", "p", "noise_ratio", "snr_db"]
+        assert [(r[0], r[1], float(r[2])) for r in rows] == [
+            ("omp", "0.05", 0.0), ("omp", "0.05", 0.1),
+            ("eomp", "0.05", 0.0), ("eomp", "0.05", 0.1),
         ]
         for row in rows:
-            assert math.isfinite(float(row[2]))
+            assert math.isfinite(float(row[3]))
 
-    def test_psweep_grid(self, tmp_path, synth_cfg, dict_path):
-        out = str(tmp_path / "psweep.csv")
+    def test_snr_grid(self, tmp_path, synth_cfg, dict_path):
+        out = str(tmp_path / "snr.csv")
         assert (
             main(
                 [
                     "eval", "--synth", synth_cfg, "--dict", dict_path,
-                    "--analysis", "psweep", "--p-grid", "0.02:0.02:0.06",
-                    "--out", out,
+                    "--analysis", "snr", "--p", "0.02:0.02:0.06", "--out", out,
                 ]
             )
             == EXIT_OK
         )
-        _, columns, rows = read_table(out)
+        header, columns, rows = read_table(out)
         assert columns == ["variant", "p", "snr_db"]
         assert [(r[0], r[1]) for r in rows] == [
-            (v, p) for v in VARIANTS for p in ("0.0200", "0.0400", "0.0600")
+            (v, p) for v in VARIANTS for p in ("0.02", "0.04", "0.06")
         ]
+        assert "p" not in header
 
     @pytest.mark.parametrize(
         "grid, values",
         [
-            (None, [0.01, 0.02, 0.03, 0.04, 0.05, 0.06, 0.07, 0.08, 0.09, 0.1]),
+            (None, [0.05]),
+            ("0.3", [0.3]),
+            (
+                "0.01:0.01:0.10",
+                [0.01, 0.02, 0.03, 0.04, 0.05, 0.06, 0.07, 0.08, 0.09, 0.1],
+            ),
             ("1e-2:1e-2:3e-2", [0.01, 0.02, 0.03]),
             ("0.02:0.03:0.1", [0.02, 0.05, 0.08]),  # no step past the stop
         ],
-        ids=["default", "exponents", "stop-between-steps"],
+        ids=["default", "one-value", "ten-steps", "exponents", "stop-between-steps"],
     )
     def test_p_grid_values_are_the_decimals_typed(self, grid, values):
-        argv = ["eval", "--synth", "s", "--dict", "d", "--analysis", "psweep"]
-        argv += ["--out", "o"] + (["--p-grid", grid] if grid else [])
-        assert _parse_grid(build_parser().parse_args(argv).p_grid) == values
+        argv = ["eval", "--synth", "s", "--dict", "d", "--analysis", "snr"]
+        argv += ["--out", "o"] + (["--p", grid] if grid else [])
+        assert _parse_grid(build_parser().parse_args(argv).p) == values
 
-    def test_psweep_row_is_the_run_at_its_p(self, tmp_path, synth_cfg, dict_path):
-        """The default grid's 0.07 is p = 0.07: a float step to 0.06999999999999999
+    def test_snr_row_is_the_run_at_its_p(self, tmp_path, synth_cfg, dict_path):
+        """The grid's 0.07 is p = 0.07: a float step to 0.06999999999999999
         would code M*floor(pN/M) = 4*34 events, not 4*35."""
         tables = []
-        for grid in ("0.01:0.01:0.10", "0.07:0.01:0.07"):
-            out = str(tmp_path / "psweep.csv")
+        for p in ("0.01:0.01:0.10", "0.07"):
+            out = str(tmp_path / "snr.csv")
             argv = [
                 "eval", "--synth", synth_cfg, "--dict", dict_path, "--analysis",
-                "psweep", "--variants", "mp,emp", "--p-grid", grid, "--out", out,
+                "snr", "--variants", "mp,emp", "--p", p, "--out", out,
             ]
             assert main(argv) == EXIT_OK
             tables.append(read_table(out)[2])
-        assert [r for r in tables[0] if r[1] == "0.0700"] == tables[1]
+        assert [r for r in tables[0] if r[1] == "0.07"] == tables[1]
+
+    def test_snr_is_the_snr_encode_prints(self, tmp_path, synth_cfg, dict_path, capsys):
+        out = str(tmp_path / "snr.csv")
+        argv = [
+            "eval", "--synth", synth_cfg, "--dict", dict_path, "--analysis", "snr",
+            "--p", "0.02:0.03:0.08", "--out", out,
+        ]
+        assert main(argv) == EXIT_OK
+        _, _, rows = read_table(out)
+        assert [(r[0], r[1]) for r in rows] == [
+            (v, p) for v in VARIANTS for p in ("0.02", "0.05", "0.08")
+        ]
+        for variant, p, snr in rows:
+            capsys.readouterr()
+            argv = [
+                "encode", "--synth", synth_cfg, "--dict", dict_path, "--variant",
+                variant, "--p", p, "--out", str(tmp_path / "x.code"),
+            ]
+            assert main(argv) == EXIT_OK
+            assert f"snr_db={snr}" in capsys.readouterr().out.splitlines()
+
+    def test_emp_snr_rises_with_p_on_a_planted_signal(self, tmp_path):
+        rng = np.random.default_rng(11)
+        waveforms = [rng.standard_normal(12) for _ in range(4)]
+        waveforms = [w / np.linalg.norm(w) for w in waveforms]
+        dict_path = str(tmp_path / "planted.json")
+        planted = Dictionary([Atom(w) for w in waveforms], sample_rate_hint=8000)
+        save_dict(planted, dict_path)
+        events = [
+            [int(rng.integers(4)), int(rng.integers(0, 3000 - 12)),
+             float(rng.uniform(0.8, 1.2))]
+            for _ in range(60)
+        ]
+        synth = write_json(
+            tmp_path / "planted-synth.json",
+            {
+                "length": 3000, "sample_rate": 8000, "seed": 2, "noise_sigma": 0.01,
+                "atoms": {
+                    "kind": "explicit", "waveforms": [w.tolist() for w in waveforms],
+                },
+                "placements": {"kind": "explicit", "events": events},
+            },
+        )
+        out = str(tmp_path / "snr.csv")
+        argv = [
+            "eval", "--synth", synth, "--dict", dict_path, "--analysis", "snr",
+            "--variants", "emp", "--p", "0.01:0.09:0.1", "--out", out,
+        ]
+        assert main(argv) == EXIT_OK
+        _, _, rows = read_table(out)
+        assert [r[:2] for r in rows] == [["emp", "0.01"], ["emp", "0.1"]]
+        assert float(rows[1][2]) > float(rows[0][2])
 
     @pytest.mark.parametrize("analysis", ANALYSES)
-    def test_every_analysis_applies_variants_and_iters(
+    def test_every_analysis_runs_each_variant_at_each_p(
         self, tmp_path, synth_cfg, dict_path, monkeypatch, analysis
     ):
         calls = []
@@ -568,26 +654,26 @@ class TestEvalCommand:
         out = str(tmp_path / f"{analysis}.csv")
         argv = [
             "eval", "--synth", synth_cfg, "--dict", dict_path, "--analysis", analysis,
-            "--variants", "mp,emp", "--p", "0.01", "--p-grid", "0.04:0.02:0.06",
-            "--ratios", "0.1", "--out", out,
+            "--variants", "mp,emp", "--p", "0.01:0.01:0.02", "--ratios", "0.1",
+            "--out", out,
         ]
         assert main(argv) == EXIT_OK
-        grid = [0.04, 0.06] if analysis == "psweep" else [0.01]
-        assert calls == [(v, pytest.approx(p)) for v in ("mp", "emp") for p in grid]
+        cells = [(v, p) for v in ("mp", "emp") for p in (0.01, 0.02)]
+        assert calls == cells
         _, columns, rows = read_table(out)
-        assert columns[0] == "variant"
-        column = [r[0] for r in rows]
-        assert column == sorted(column, key=["mp", "emp"].index)  # mp's rows first
-        assert set(column) == {"mp", "emp"}
+        assert columns[:2] == ["variant", "p"]
+        keys = [(r[0], float(r[1])) for r in rows]
+        assert sorted(set(keys), key=keys.index) == cells  # the rows in call order
         if analysis in ("rates", "histograms"):
-            # Each variant's counts add up to its M*Q = 4*floor(0.01*2000/4) events.
+            # Each cell's counts add up to its M*Q = 4*floor(p*2000/4) events.
             duration = 2000 / 8000
-            for v in ("mp", "emp"):
+            for (v, p), events in zip(cells, (20, 40, 20, 40)):
+                mine = [r for r in rows if (r[0], float(r[1])) == (v, p)]
                 if analysis == "rates":
-                    total = sum(float(r[2]) for r in rows if r[0] == v) * duration
+                    total = sum(float(r[3]) for r in mine) * duration
                 else:
-                    total = sum(int(r[3]) for r in rows if r[0] == v and r[1] == "16")
-                assert total == pytest.approx(20)
+                    total = sum(int(r[4]) for r in mine if r[2] == "16")
+                assert total == pytest.approx(events)
 
 
 class TestProfileCommand:
@@ -612,6 +698,28 @@ class TestProfileCommand:
         ]
         for row in rows:
             assert float(row[2]) > 0.0
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--atoms", "4", "--windows", "4096,32"],
+             "window of 32 samples is shorter than the longest atom (64)"),
+            (["--atoms", "32", "--windows", "8192,300"], "quota floor(p*N/M) = 0 < 1"),
+        ],
+        ids=["window-below-atom", "quota-below-1"],
+    )
+    def test_bad_window_rejected_before_any_pursuit(
+        self, tmp_path, monkeypatch, capsys, flags, message
+    ):
+        def no_match(*args):
+            raise AssertionError("a pursuit ran")
+
+        monkeypatch.setattr(empursuit.metrics, "match", no_match)
+        out = str(tmp_path / "prof.csv")
+        argv = ["profile", "--atom-len", "64", "--repeats", "1", "--out", out]
+        assert main(argv + flags) == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
 
 
 class TestRunConfigEmission:
@@ -731,12 +839,12 @@ class TestExitCodes:
             ),
             (
                 ["eval", "--synth", "{synth}", "--dict", "{dict}",
-                 "--analysis", "psweep", "--p-grid", "0.1:0:0.05"],
+                 "--analysis", "snr", "--p", "0.1:0:0.05"],
                 "bad grid '0.1:0:0.05'",
             ),
             (
                 ["eval", "--synth", "{synth}", "--dict", "{dict}",
-                 "--analysis", "psweep", "--p-grid", "0.01:1/0:0.05"],
+                 "--analysis", "snr", "--p", "0.01:1/0:0.05"],
                 "grid must be start:step:stop, got '0.01:1/0:0.05'",
             ),
             (

@@ -43,6 +43,17 @@ class TestAtom:
         with pytest.raises(ValueError, match="pad_len"):
             Atom(a.waveform, pad_len=2)
 
+    @pytest.mark.parametrize(
+        "waveform", [np.array([]), np.ones((2, 3))], ids=["empty", "2-D"]
+    )
+    def test_waveform_not_a_non_empty_vector_rejected(self, waveform):
+        with pytest.raises(ValueError, match="non-empty 1-D array"):
+            Atom(waveform)
+
+    def test_dictionary_without_atoms_rejected(self):
+        with pytest.raises(ValueError, match="at least one atom"):
+            Dictionary([])
+
 
 class TestRanddict:
     def test_paper_shape(self):
@@ -183,13 +194,14 @@ class TestSerialization:
     @pytest.mark.parametrize(
         "key, value",
         [
-            ("m", None), ("m", "x"), ("m", 2.0), ("sample_rate_hint", -5),
+            ("m", None), ("m", "x"), ("m", 2.0), ("m", 3), ("sample_rate_hint", -5),
             ("sample_rate_hint", "abc"), ("sample_rate_hint", 0),
             ("sample_rate_hint", True),
         ],
     )
     def test_bad_header_rejected(self, tmp_path, key, value):
-        """m is an integer >= 1; sample_rate_hint is null or an integer >= 1."""
+        """m is an integer >= 1 that counts the atoms; sample_rate_hint is null
+        or an integer >= 1."""
         path = tmp_path / "d.json"
         save_dict(randdict(2, seed=0, sample_rate_hint=8000), path)
         doc = json.loads(path.read_text())

@@ -1,9 +1,8 @@
-"""Entropy, event-rate, denoising, p-sweep, and timing analyses."""
+"""Entropy, event-rate, denoising and timing analyses."""
 
 from __future__ import annotations
 
 import csv
-import dataclasses
 import math
 
 import numpy as np
@@ -20,7 +19,6 @@ from empursuit.metrics import (
     denoise_sweep,
     event_rates,
     index_entropy,
-    p_sweep,
     profile_dictionary,
     profile_signal,
     timing_profile,
@@ -174,7 +172,7 @@ class TestEventRates:
         assert rates.max() > rates.min()
 
 
-class TestEventStats:
+class TestEventAnalyses:
     """index_entropy, coeff_histogram/coeff_entropy and event_rates together."""
 
     def test_consistent_with_individual_analyses(self):
@@ -305,8 +303,8 @@ class TestDenoiseSweep:
 
 
 class TestSnrFromResidual:
-    """denoise_sweep and p_sweep take each SNR from the code's residual; it
-    matches the SNR of the reconstruction from the events."""
+    """denoise_sweep takes each SNR from the code's residual; it matches the
+    SNR of the reconstruction from the events."""
 
     @pytest.mark.parametrize("variant", ["mp", "omp", "emp", "eomp"])
     def test_matches_reconstruction_snr(self, variant):
@@ -321,42 +319,13 @@ class TestSnrFromResidual:
             d.waveforms, placements, 4000, noise_sigma=0.05, seed=4, sample_rate=8000
         )
         cfg = PursuitConfig(variant=variant, p=0.05)
-        ratios, p_values = [0.0, 0.1, 0.5], [0.02, 0.05, 0.2]
+        ratios = [0.0, 0.1, 0.5]
         for k, (ratio, snr) in enumerate(
             denoise_sweep(d, clean, ratios, cfg, noise_seed=5)
         ):
             noisy = add_noise(clean, ratio, seed=(5, k))
             approx = reconstruct(match(d, noisy, cfg), d)
             assert abs(snr - snr_db(clean.samples, approx)) <= 1e-9
-        for p, snr in p_sweep(d, clean, p_values, cfg):
-            code = match(d, clean, dataclasses.replace(cfg, p=p))
-            assert abs(snr - snr_db(clean.samples, reconstruct(code, d))) <= 1e-9
-
-
-class TestPSweep:
-    def test_snr_improves_with_selection_probability(self):
-        rng = np.random.default_rng(11)
-        waveforms = []
-        for _ in range(4):
-            w = rng.standard_normal(12)
-            waveforms.append(w / np.linalg.norm(w))
-        d = Dictionary([Atom(w) for w in waveforms], sample_rate_hint=8000)
-        placements = []
-        for _ in range(60):
-            i = int(rng.integers(4))
-            off = int(rng.integers(0, 3000 - 12))
-            placements.append((i, off, float(rng.uniform(0.8, 1.2))))
-        sig = synth_signal(waveforms, placements, 3000, noise_sigma=0.01, seed=2)
-        rows = p_sweep(d, sig, [0.01, 0.05, 0.1], PursuitConfig(variant="emp"))
-        assert [r[0] for r in rows] == [0.01, 0.05, 0.1]
-        assert rows[-1][1] > rows[0][1]
-
-    def test_empty_p_list_rejected_before_any_pursuit(self, monkeypatch):
-        d = randdict(2, seed=0, sample_rate_hint=8000)
-        sig = Signal(np.random.default_rng(0).standard_normal(1000), 8000)
-        monkeypatch.setattr(metrics, "match", None)  # a pursuit would raise TypeError
-        with pytest.raises(ValueError, match="one or more"):
-            p_sweep(d, sig, [], PursuitConfig(variant="emp"))
 
 
 class TestProfileHelpers:

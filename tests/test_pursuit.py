@@ -1350,6 +1350,18 @@ class TestCodeSerialization:
         with pytest.raises(DataFormatError):
             load_code(path)
 
+    @pytest.mark.parametrize(
+        "body",
+        [b"0 x 0.5\n", b"0 5 0.5 \xff\xfe\n"],
+        ids=["non-integer-field", "non-utf8"],
+    )
+    def test_unreadable_record_rejected(self, tmp_path, body):
+        path = tmp_path / "bad.code"
+        header = b"#format=empursuit-code\n#format_version=1\n#window_len=64\n"
+        path.write_bytes(header + body)
+        with pytest.raises(DataFormatError, match="cannot parse code file"):
+            load_code(path)
+
     @pytest.mark.parametrize("record", ["-1 2 0.5", "1 -2 0.5"])
     def test_negative_index_or_offset_rejected(self, tmp_path, record):
         path = tmp_path / "neg.code"

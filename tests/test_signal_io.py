@@ -59,6 +59,12 @@ class TestSignal:
 
 
 class TestWavIO:
+    def test_unknown_encoding_rejected(self, tmp_path):
+        path = tmp_path / "x.wav"
+        with pytest.raises(ValueError, match="unknown encoding 'pcm8'"):
+            save_wav(Signal(np.zeros(10), 8000), path, encoding="pcm8")
+        assert not path.exists()
+
     def test_float32_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
         sig = Signal(rng.uniform(-0.9, 0.9, 500), 44100)
@@ -327,6 +333,14 @@ class TestWavScipyCompatibility:
                 ),
                 id="block align not divisible by channels",
             ),
+            pytest.param(
+                wav_image([(b"fmt ", bytes(14)), (b"data", b"\x00\x00")]),
+                id="fmt chunk under 16 bytes",
+            ),
+            pytest.param(
+                wav_image([fmt_chunk(1, 1, 2, 16), (b"data", b"")]),
+                id="data chunk with no frames",
+            ),
         ],
     )
     def test_bad_files_are_data_errors(self, tmp_path, image):
@@ -377,7 +391,7 @@ class TestSynthSignal:
             synth_signal([np.ones(5), np.ones(3)], [(idx, 0, 1.0)], 100)
 
 
-class TestBlockSource:
+class TestNextBlock:
     """Training blocks drawn by next_block."""
 
     def test_deterministic_sequence(self):
@@ -421,6 +435,10 @@ class TestAddNoise:
         sig = Signal(np.full(100, 3.0), 8000)
         with pytest.raises(DegenerateSignalError):
             add_noise(sig, 0.1)
+
+    def test_negative_ratio_rejected(self):
+        with pytest.raises(ValueError, match="sigma_ratio must be >= 0"):
+            add_noise(Signal(np.sin(np.arange(100)), 8000), -0.1)
 
     def test_snr_degrades_with_ratio(self):
         rng = np.random.default_rng(12)
@@ -528,6 +546,26 @@ class TestBuildSynthSignal:
         cfg["atoms"]["count"] = 0
         sig, hidden = build_synth_signal(cfg)
         assert hidden == [] and len(sig) == 200 and np.any(sig.samples != 0)
+
+    @pytest.mark.parametrize(
+        "atoms, placements, message",
+        [
+            ({"kind": "sine"}, {"rate": 0.01}, "unknown atoms kind 'sine'"),
+            (
+                {"count": 1, "length": 4}, {"kind": "grid"},
+                "unknown placements kind 'grid'",
+            ),
+            (
+                {"count": 1, "length": 40}, {"rate": 0.01},
+                "hidden atom longer than the signal",
+            ),
+        ],
+        ids=["atoms-kind", "placements-kind", "atom-longer-than-signal"],
+    )
+    def test_bad_source_rejected(self, atoms, placements, message):
+        cfg = {"length": 30, "atoms": atoms, "placements": placements}
+        with pytest.raises(DataFormatError, match=message):
+            build_synth_signal(cfg)
 
     @pytest.mark.parametrize("idx", [-1, 1])
     def test_explicit_event_on_missing_atom_rejected(self, idx):
